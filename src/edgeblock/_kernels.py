@@ -535,7 +535,7 @@ def louvain_local_pass(indptr, nbrs, w, node_k, comm, comm_tot, order, gamma, tw
 
 
 # ---------------------------------------------------------------------------
-# exhaustive optimization (small instances)
+# exhaustive densest-subgraph search (small instances)
 # ---------------------------------------------------------------------------
 
 @maybe_jit
@@ -560,62 +560,6 @@ def best_k_subgraph(adj_bits, n, k):
                 best_comb[i] = comb[i]
         i = k - 1
         while i >= 0 and comb[i] == n - k + i:
-            i -= 1
-        if i < 0:
-            break
-        comb[i] += 1
-        for j in range(i + 1, k):
-            comb[j] = comb[j - 1] + 1
-    return best, best_comb
-
-
-@maybe_jit
-def best_edge_blocking(indptr, nbrs, adj_eid, m, k, seeds):
-    """Max count of nodes unreachable from the seeds over all k-edge
-    removals (unit weights: spread is plain reachability).  Returns the
-    optimum and the first lexicographic witness subset of edge ids."""
-    n = indptr.shape[0] - 1
-    comb = np.empty(k, np.int64)
-    for i in range(k):
-        comb[i] = i
-    blocked = np.zeros(m, np.uint8)
-    visited = np.zeros(n, np.uint8)
-    queue = np.empty(n, np.int64)
-    best = -1
-    best_comb = np.empty(k, np.int64)
-    while True:
-        for i in range(k):
-            blocked[comb[i]] = 1
-        head = 0
-        tail = 0
-        for i in range(seeds.shape[0]):
-            s = seeds[i]
-            if visited[s] == 0:
-                visited[s] = 1
-                queue[tail] = s
-                tail += 1
-        while head < tail:
-            u = queue[head]
-            head += 1
-            for j in range(indptr[u], indptr[u + 1]):
-                if blocked[adj_eid[j]] == 1:
-                    continue
-                v = nbrs[j]
-                if visited[v] == 0:
-                    visited[v] = 1
-                    queue[tail] = v
-                    tail += 1
-        white = n - tail
-        if white > best:
-            best = white
-            for i in range(k):
-                best_comb[i] = comb[i]
-        for i in range(tail):
-            visited[queue[i]] = 0
-        for i in range(k):
-            blocked[comb[i]] = 0
-        i = k - 1
-        while i >= 0 and comb[i] == m - k + i:
             i -= 1
         if i < 0:
             break

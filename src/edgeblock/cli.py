@@ -31,6 +31,7 @@ from .graph import (
     assign_jaccard_weights,
     girth,
     graph_stats,
+    label_of_token,
     parse_edge_list,
     write_edge_list,
 )
@@ -106,7 +107,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed-fraction", type=float, default=0.001,
                    help="seed-set size as a fraction of n (default: %(default)s)")
     p.add_argument("--seed-nodes", default=None,
-                   help="comma list of seed node ids (overrides --seed-fraction)")
+                   help="comma list of seed node labels as in the file (overrides --seed-fraction)")
     p.add_argument("--samples", type=int, default=1000,
                    help="replicates (default: %(default)s)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
@@ -198,7 +199,12 @@ def _cmd_weights(args) -> int:
 def _cmd_simulate(args) -> int:
     g = _load_graph(args)
     if args.seed_nodes is not None:
-        seeds = SeedSet.of(int(t) for t in args.seed_nodes.split(","))
+        keys = [label_of_token(t.strip()) for t in args.seed_nodes.split(",")]
+        index = {label: v for v, label in enumerate(g.labels)}
+        unknown = [str(t) for t in keys if t not in index]
+        if unknown:
+            raise UsageError(f"unknown seed node label(s): {', '.join(unknown)}")
+        seeds = SeedSet.of(index[t] for t in keys)
     else:
         seeds = sample_seed_set(g, args.seed_fraction, rng_for(args.seed, 0))
     mean, stderr = estimate_spread(g, seeds, args.samples, args.seed)

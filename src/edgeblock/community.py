@@ -194,17 +194,14 @@ class SweepParams:
             raise ValueError("budget must be nonnegative")
 
 
-def resolution_sweep(g: Graph, params: SweepParams,
-                     count_on_any_overflow: bool = False,
-                     return_trace: bool = False):
+def resolution_sweep(g: Graph, params: SweepParams, return_trace: bool = False):
     """Largest inter-community edge set within the budget.
 
     Walks the resolution upward by ``factor``; at each step runs Louvain
     ``h2`` times and keeps the biggest edge set not exceeding the budget.
-    The stop counter advances each step whose last (or, with
-    ``count_on_any_overflow``, any) candidate overflowed the budget, and
-    the loop ends once it exceeds ``h1``.  Returns sorted edge ids, of
-    size at most the budget and possibly empty.
+    The stop counter advances each step whose last candidate overflowed
+    the budget, and the loop ends once it exceeds ``h1``.  Returns sorted
+    edge ids, of size at most the budget and possibly empty.
     """
     k = params.budget
     if k >= g.m:
@@ -217,7 +214,6 @@ def resolution_sweep(g: Graph, params: SweepParams,
     count = 0
     outer = 0
     while count <= params.h1:
-        overflow = False
         last_overflow = False
         for inner in range(params.h2):
             rng = rng_for(params.master_seed, outer, inner)
@@ -229,9 +225,8 @@ def resolution_sweep(g: Graph, params: SweepParams,
             if best.shape[0] < size <= k:
                 best = cand
             last_overflow = size > k
-            overflow = overflow or last_overflow
         r *= params.factor
-        if (overflow if count_on_any_overflow else last_overflow):
+        if last_overflow:
             count += 1
         outer += 1
     return (best, trace) if return_trace else best

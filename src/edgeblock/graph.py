@@ -189,6 +189,11 @@ def _open_text(source):
     raise TypeError(f"unsupported edge-list source: {type(source)!r}")
 
 
+def label_of_token(token: str):
+    """The label an edge-list node token gets: an int when it is one."""
+    return int(token) if token.lstrip("-").isdigit() else token
+
+
 def parse_edge_list(source, return_report=False):
     """Parse a whitespace-separated edge list into a Graph.
 
@@ -254,9 +259,7 @@ def parse_edge_list(source, return_report=False):
             report.self_loops, report.duplicate_edges,
         )
 
-    labels: tuple = tuple(
-        int(t) if t.lstrip("-").isdigit() else t for t in tokens_in_order
-    )
+    labels: tuple = tuple(label_of_token(t) for t in tokens_in_order)
     g = from_edge_arrays(
         len(tokens_in_order),
         np.array(us, dtype=np.int64),
@@ -374,34 +377,6 @@ def girth(g: Graph):
         return math.inf
     best = _kernels.girth_bfs(g.indptr, g.nbrs)
     return math.inf if best == 0 else int(best)
-
-
-def connected_component_sizes(g: Graph) -> np.ndarray:
-    """Sizes of connected components, descending."""
-    sizes = []
-    visited = np.zeros(g.n, dtype=bool)
-    for v in range(g.n):
-        if visited[v]:
-            continue
-        comp = _component_of(g, v)
-        visited[comp] = True
-        sizes.append(len(comp))
-    return np.array(sorted(sizes, reverse=True), dtype=np.int64)
-
-
-def _component_of(g: Graph, src: int) -> np.ndarray:
-    seen = np.zeros(g.n, dtype=bool)
-    seen[src] = True
-    stack = [src]
-    out = [src]
-    while stack:
-        u = stack.pop()
-        for v in g.neighbors(u):
-            if not seen[v]:
-                seen[v] = True
-                stack.append(int(v))
-                out.append(int(v))
-    return np.array(out, dtype=np.int64)
 
 
 def remove_edges(g: Graph, edge_ids) -> Graph:

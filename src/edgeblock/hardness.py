@@ -32,6 +32,7 @@ re-checkable first lexicographic maximizers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -44,6 +45,7 @@ from .graph import Graph, from_edge_arrays, girth
 
 _MAX_DS_NODES = 18
 _MAX_BLOCKING_SUBSETS = 5_000_000
+_BLOCKING_CHUNK = 4096        # subsets per bit-parallel sweep
 CONSTRUCTIONS = ("undirected", "directed")
 
 
@@ -154,18 +156,58 @@ def brute_force_edge_blocking(g: Graph, k: int, seeds, arcs=None) -> BruteForceR
 
     Requires unit weights, where expected spread is plain reachability.
     With ``arcs`` (an instance's ``arcs``), spread follows each edge only
-    from ``arcs[e, 0]`` to ``arcs[e, 1]``; edge ids are unchanged.
+    from ``arcs[e, 0]`` to ``arcs[e, 1]``; edge ids are unchanged.  Without
+    it every edge conducts both ways.
+
+    Bit-parallel: the subsets come in the order of
+    ``itertools.combinations(range(m), k)``, in chunks of
+    ``_BLOCKING_CHUNK``, and bit j of a byte row stands for subset j of the
+    chunk.  Each arc row holds the bits of the subsets that leave its edge
+    live, each node row those that reach the node (all ones at the seeds).
+    One sweep ORs ``reach[tail] & live[arc]`` into ``reach[head]`` for every
+    arc at once, and sweeps repeat until reach stops growing, so a chunk
+    costs one sweep per hop of the longest shortest path.  Memory is about
+    m * ``_BLOCKING_CHUNK`` bytes whatever C(m, k) is.  Only a strict
+    improvement replaces the best, so the witness is the first
+    lexicographic maximizer.
     """
     if g.m and not np.all(g.w == 1.0):
         raise ValueError("edge-blocking enumeration requires unit weights")
     if not 0 <= k <= g.m:
         raise ValueError("k must satisfy 0 <= k <= m")
-    if math.comb(g.m, k) > _MAX_BLOCKING_SUBSETS:
+    total = math.comb(g.m, k)
+    if total > _MAX_BLOCKING_SUBSETS:
         raise ValueError(
             f"C({g.m}, {k}) subsets exceed the enumeration guard of {_MAX_BLOCKING_SUBSETS}")
-    indptr, nbrs, eid = (g.indptr, g.nbrs, g.adj_eid) if arcs is None else _arc_csr(g, arcs)
-    value, comb = _kernels.best_edge_blocking(indptr, nbrs, eid, g.m, k, _seed_array(g, seeds))
-    return BruteForceResult(int(value), tuple(int(e) for e in comb))
+    seed_ids = _seed_array(g, seeds)
+    indptr, heads, eid = (g.indptr, g.nbrs, g.adj_eid) if arcs is None else _arc_csr(g, arcs)
+    tails = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(indptr))
+    by_head = np.argsort(heads, kind="stable")
+    tails, heads, eid = tails[by_head], heads[by_head], eid[by_head]
+    starts = np.flatnonzero(np.diff(heads, prepend=-1))
+    targets = heads[starts]
+    subsets = itertools.combinations(range(g.m), k)
+    best, witness = -1, ()
+    for done in range(0, total, _BLOCKING_CHUNK):
+        s = min(_BLOCKING_CHUNK, total - done)
+        chunk = np.fromiter(itertools.chain.from_iterable(itertools.islice(subsets, s)),
+                            np.int64, count=s * k).reshape(s, k)
+        blocked = np.zeros((g.m, s), dtype=bool)
+        blocked[chunk, np.arange(s)[:, None]] = True
+        live = np.packbits(~blocked, axis=1)[eid]
+        reach = np.zeros((g.n, (s + 7) // 8), dtype=np.uint8)
+        reach[seed_ids] = 0xFF
+        while starts.size:          # with no arcs the seeds reach nothing else
+            cur = reach[targets]
+            grown = np.bitwise_or.reduceat(reach[tails] & live, starts, axis=0) | cur
+            if np.array_equal(grown, cur):
+                break
+            reach[targets] = grown
+        white = g.n - np.unpackbits(reach, axis=1, count=s).sum(axis=0, dtype=np.int64)
+        j = int(np.argmax(white))
+        if white[j] > best:
+            best, witness = int(white[j]), tuple(int(e) for e in chunk[j])
+    return BruteForceResult(best, witness)
 
 
 def white_count_after_blocking(g: Graph, edge_ids, seeds, arcs=None) -> int:

@@ -169,3 +169,64 @@ def brute_expected_spread(g, seeds):
                     queue.append(v)
         total += prob * len(seen)
     return total
+
+
+def best_edge_blocking(indptr, nbrs, adj_eid, m, k, seeds):
+    """Max count of nodes unreachable from the seeds over all k-edge
+    removals, one BFS per subset in lexicographic order (unit weights:
+    spread is plain reachability).  Returns the optimum and the first
+    lexicographic witness subset of edge ids.  ``indptr``/``nbrs``/
+    ``adj_eid`` form an out-arc CSR carrying edge ids."""
+    n = len(indptr) - 1
+    comb = list(range(k))
+    blocked = [False] * m
+    best = -1
+    best_comb = ()
+    while True:
+        for e in comb:
+            blocked[e] = True
+        visited = set(int(s) for s in seeds)
+        queue = list(visited)
+        while queue:
+            u = queue.pop()
+            for j in range(indptr[u], indptr[u + 1]):
+                if blocked[adj_eid[j]]:
+                    continue
+                v = int(nbrs[j])
+                if v not in visited:
+                    visited.add(v)
+                    queue.append(v)
+        white = n - len(visited)
+        if white > best:
+            best = white
+            best_comb = tuple(comb)
+        for e in comb:
+            blocked[e] = False
+        i = k - 1
+        while i >= 0 and comb[i] == m - k + i:
+            i -= 1
+        if i < 0:
+            break
+        comb[i] += 1
+        for j in range(i + 1, k):
+            comb[j] = comb[j - 1] + 1
+    return best, best_comb
+
+
+def edge_blocking_reference(g, k, seeds, arcs=None):
+    """``best_edge_blocking`` on g's edges, both ways, or on ``arcs``
+    (edge e only from arcs[e, 0] to arcs[e, 1])."""
+    if arcs is None:
+        pairs = [(int(g.eu[e]), int(g.ev[e]), e) for e in range(g.m)]
+        pairs += [(v, u, e) for u, v, e in pairs]
+    else:
+        pairs = [(int(arcs[e][0]), int(arcs[e][1]), e) for e in range(g.m)]
+    out = [[] for _ in range(g.n)]
+    for t, h, e in pairs:
+        out[t].append((h, e))
+    indptr, nbrs, eids = [0], [], []
+    for row in out:
+        nbrs += [h for h, _ in row]
+        eids += [e for _, e in row]
+        indptr.append(len(nbrs))
+    return best_edge_blocking(indptr, nbrs, eids, g.m, k, seeds)

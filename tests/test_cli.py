@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from edgeblock import cli
 from edgeblock.cli import EXIT_CHECK_FAILED, dispatch
 from edgeblock.evaluation import AGGREGATE_HEADER, DETAIL_HEADER
 from edgeblock.generators import planted_partition
@@ -35,6 +36,23 @@ def test_weights_roundtrip(path3, tmp_path, capsys):
     assert dispatch(["weights", "--graph", path3, "--out", str(out)]) == 0
     g = parse_edge_list(out)
     assert np.allclose(g.w, [2 / 3, 2 / 3])
+
+
+def test_simulate_seed_nodes_are_file_labels(tmp_path, monkeypatch, capsys):
+    p = tmp_path / "labels.txt"
+    p.write_text("10 20\n20 30\n")
+    seen = []
+
+    def fake_estimate(g, seeds, samples, seed):
+        seen.append([g.label_of(int(v)) for v in seeds.nodes])
+        return 1.0, 0.0
+
+    monkeypatch.setattr(cli, "estimate_spread", fake_estimate)
+    assert dispatch(["simulate", "--graph", str(p), "--seed-nodes", "10"]) == 0
+    assert dispatch(["simulate", "--graph", str(p), "--seed-nodes", "30,20"]) == 0
+    assert seen == [[10], [20, 30]]
+    assert dispatch(["simulate", "--graph", str(p), "--seed-nodes", "2"]) == 1
+    assert "unknown seed node" in capsys.readouterr().err
 
 
 def test_block_zero_budget(path3, capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracle_utils import edge_blocking_reference
 
 from edgeblock.generators import (
     connected_graphs_upto_iso,
@@ -10,6 +11,8 @@ from edgeblock.generators import (
 )
 from edgeblock.graph import from_edge_arrays, girth
 from edgeblock.hardness import (
+    _BLOCKING_CHUNK,
+    CONSTRUCTIONS,
     brute_force_densest_subgraph,
     brute_force_edge_blocking,
     expand_to_blocking_instance,
@@ -110,6 +113,28 @@ def test_blocking_guards():
     big = gnm_random_graph(40, 200, 2)
     with pytest.raises(ValueError):
         brute_force_edge_blocking(big, 10, [0])
+
+
+def _blocking_cases():
+    for n in range(2, 6):
+        for h in connected_graphs_upto_iso(n):
+            for construction in CONSTRUCTIONS:
+                inst = expand_to_blocking_instance(h, construction)
+                for k in range(min(n, 4) + 1):
+                    yield inst.graph, k, inst.seeds.nodes, inst.arcs
+    for seed in range(5):
+        g = gnm_random_graph(9, 14, seed)
+        for k in (0, 1, 2, 3, g.m):
+            yield g, k, [0, 1], None
+
+
+def test_blocking_matches_loop_reference():
+    largest = 0
+    for g, k, seeds, arcs in _blocking_cases():
+        res = brute_force_edge_blocking(g, k, seeds, arcs)
+        assert (res.value, res.witness) == edge_blocking_reference(g, k, seeds, arcs), (g.m, k)
+        largest = max(largest, math.comb(g.m, k))
+    assert largest > 2 * _BLOCKING_CHUNK    # K5 expansion, k = 4: 12,650 subsets
 
 
 def test_verify_below_girth_cases():
