@@ -4,7 +4,10 @@ Hot kernels live in ``_kernels`` and are written once in nopython-compatible
 style, then decorated with :func:`maybe_jit`.  Setting ``EDGEBLOCK_NO_NUMBA=1``
 in the environment forces the plain-Python fallback path (same code, no
 compilation); the fallback is also selected automatically when numba is not
-installed.  Both paths produce bit-identical results.
+installed.  Both paths produce bit-identical results.  Nothing here or in
+``_kernels`` draws random numbers: every stream is a numpy Generator keyed
+in ``seeding``, and cascades run on the plain-numpy live-edge primitive in
+``cascade``.
 """
 
 import os
@@ -29,39 +32,3 @@ def maybe_jit(func):
     if NUMBA_ENABLED:
         return _numba.njit(cache=True, nogil=True)(func)
     return func
-
-
-# splitmix64 step, implemented twice: the jitted version relies on native
-# uint64 wraparound, the fallback masks Python ints.  Kernels treat the state
-# as opaque and only pass it between these helpers, so the two paths emit the
-# same stream bit for bit (covered by tests).
-if NUMBA_ENABLED:
-    import numpy as _np
-
-    @maybe_jit
-    def seed_to_state(bits):
-        # reinterpret an int64 bit pattern as the uint64 generator state
-        return _np.uint64(bits)
-
-    @maybe_jit
-    def rng_u01(state):
-        state = state + 0x9E3779B97F4A7C15
-        z = state
-        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-        z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-        z = z ^ (z >> 31)
-        return state, (z >> 11) * (2.0 ** -53)
-
-else:
-    _MASK64 = 0xFFFFFFFFFFFFFFFF
-
-    def seed_to_state(bits):
-        return int(bits) & _MASK64
-
-    def rng_u01(state):
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        z = z ^ (z >> 31)
-        return state, (z >> 11) * (2.0 ** -53)

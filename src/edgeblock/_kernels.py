@@ -6,176 +6,13 @@ take flat arrays only (CSR adjacency: ``indptr``, ``nbrs``, plus per-slot
 weight/edge-id arrays) and allocate their own scratch space, so a shared
 read-only graph can be used from many threads (kernels are compiled nogil).
 
-Conventions: node states are 0=white, 1=red, 2=orange; ``-1``/``np.inf``
-mark unreached nodes; per-replicate RNG streams are splitmix64 states
-derived outside and passed in as int64 bit patterns.
+Conventions: ``-1``/``np.inf`` mark unreached nodes.  Nothing here draws
+random numbers; cascades and reachability counts live in ``cascade``.
 """
 
 import numpy as np
 
-from ._accel import maybe_jit, rng_u01, seed_to_state
-
-WHITE = 0
-RED = 1
-ORANGE = 2
-
-
-# ---------------------------------------------------------------------------
-# independent cascade
-# ---------------------------------------------------------------------------
-
-@maybe_jit
-def cascade_run(indptr, nbrs, adj_w, seeds, seed_bits):
-    """One full cascade to quiescence; returns (state array, rounds).
-
-    Synchronous rounds: every red node attempts each currently-white
-    neighbor once (one uniform draw per attempt, in node/adjacency order),
-    then all reds turn orange and the newly hit nodes turn red.
-    """
-    n = indptr.shape[0] - 1
-    state = np.zeros(n, np.uint8)
-    newly = np.zeros(n, np.uint8)
-    frontier = np.empty(n, np.int64)
-    nxt = np.empty(n, np.int64)
-
-    fcount = 0
-    for i in range(seeds.shape[0]):
-        s = seeds[i]
-        if state[s] == WHITE:
-            state[s] = RED
-            frontier[fcount] = s
-            fcount += 1
-
-    rng = seed_to_state(seed_bits)
-    rounds = 0
-    while fcount > 0:
-        rounds += 1
-        ncount = 0
-        for i in range(fcount):
-            u = frontier[i]
-            for j in range(indptr[u], indptr[u + 1]):
-                v = nbrs[j]
-                if state[v] == WHITE:
-                    rng, draw = rng_u01(rng)
-                    if draw < adj_w[j] and newly[v] == 0:
-                        newly[v] = 1
-                        nxt[ncount] = v
-                        ncount += 1
-        for i in range(fcount):
-            state[frontier[i]] = ORANGE
-        for i in range(ncount):
-            v = nxt[i]
-            newly[v] = 0
-            state[v] = RED
-            frontier[i] = v
-        fcount = ncount
-    return state, rounds
-
-
-@maybe_jit
-def cascade_batch(indptr, nbrs, adj_w, seeds, seed_bits_arr):
-    """Orange-count sum and sum of squares over independent replicates.
-
-    Integer accumulators keep the aggregation exact, hence independent of
-    summation order.
-    """
-    total = 0
-    total_sq = 0
-    for r in range(seed_bits_arr.shape[0]):
-        state, _ = cascade_run(indptr, nbrs, adj_w, seeds, seed_bits_arr[r])
-        count = 0
-        for i in range(state.shape[0]):
-            if state[i] == ORANGE:
-                count += 1
-        total += count
-        total_sq += count * count
-    return total, total_sq
-
-
-@maybe_jit
-def reach_count(indptr, nbrs, seeds):
-    """Number of nodes reachable from the seed set (seeds included)."""
-    n = indptr.shape[0] - 1
-    visited = np.zeros(n, np.uint8)
-    queue = np.empty(n, np.int64)
-    head = 0
-    tail = 0
-    for i in range(seeds.shape[0]):
-        s = seeds[i]
-        if visited[s] == 0:
-            visited[s] = 1
-            queue[tail] = s
-            tail += 1
-    while head < tail:
-        u = queue[head]
-        head += 1
-        for j in range(indptr[u], indptr[u + 1]):
-            v = nbrs[j]
-            if visited[v] == 0:
-                visited[v] = 1
-                queue[tail] = v
-                tail += 1
-    return tail
-
-
-@maybe_jit
-def expected_reach_live_edges(eu, ev, w, n, seeds):
-    """Exact expected reach under independent edge liveness.
-
-    Enumerates all 2^m live-edge subsets; each edge is live with its own
-    probability.  Exponential: callers must guard m.
-    """
-    m = eu.shape[0]
-    parent = np.empty(n, np.int64)
-    marked = np.zeros(n, np.uint8)
-    roots = np.empty(seeds.shape[0], np.int64)
-    total = 0.0
-    for mask in range(1 << m):
-        prob = 1.0
-        for e in range(m):
-            if (mask >> e) & 1:
-                prob *= w[e]
-            else:
-                prob *= 1.0 - w[e]
-        if prob == 0.0:
-            continue
-        for i in range(n):
-            parent[i] = i
-        for e in range(m):
-            if (mask >> e) & 1:
-                # union by path-halving find
-                a = eu[e]
-                while parent[a] != a:
-                    parent[a] = parent[parent[a]]
-                    a = parent[a]
-                b = ev[e]
-                while parent[b] != b:
-                    parent[b] = parent[parent[b]]
-                    b = parent[b]
-                if a != b:
-                    parent[b] = a
-        nmark = 0
-        for i in range(seeds.shape[0]):
-            a = seeds[i]
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            if marked[a] == 0:
-                marked[a] = 1
-                roots[nmark] = a
-                nmark += 1
-        reach = 0
-        for v in range(n):
-            a = v
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            if marked[a] == 1:
-                reach += 1
-        for i in range(nmark):
-            marked[roots[i]] = 0
-        total += prob * reach
-    return total
+from ._accel import maybe_jit
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,22 @@ neighbors turns red with probability 1 - prod(1 - w(v, v')) over its red
 neighbors, every red node turns orange, and orange is absorbing.  The
 process runs to quiescence (no red nodes), at most n+1 rounds.
 
-Monte Carlo estimation draws one uniform per exposure attempt; each
-replicate's stream is a pure function of (master_seed, replicate index) so
-estimates are reproducible regardless of execution order.  Two exact
-routes exist for validation: plain reachability when all weights are 1,
-and full live-edge enumeration for tiny graphs.
+Each edge is attempted at most once, so the final orange set has the same
+distribution as the set reachable from the seeds over edges that are each
+live, independently, with probability equal to their weight (the live-edge
+view of Kempe, Kleinberg & Tardos, KDD 2003); a node turns red in the round
+equal to its live hop distance from the seeds.  Every spread computation
+here is therefore one primitive, :func:`reach_sweeps`: reachability over a
+batch of live-edge masks, one bit per mask.
+
+Monte Carlo replicate r is row r of an R x m block of uniforms drawn from
+``rng_for(master_seed)``, one per canonical edge id; edge e is live when
+U[r, e] < w(e) and e is not blocked.  A row depends on neither the
+replicate count nor the chunking, and estimates on one stream with and
+without blocking are coupled pathwise: blocking never raises a replicate's
+spread.  The exact routes run one all-live mask (plain reachability when
+all weights are 1) or all 2^m masks weighted by their probability (tiny
+graphs).
 """
 
 from __future__ import annotations
@@ -20,16 +31,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
-from ._accel import NUMBA_ENABLED, rng_u01, seed_to_state
 from .graph import Graph
-from .seeding import seed_sequence
+from .seeding import as_rng, rng_for
 
-WHITE = _kernels.WHITE
-RED = _kernels.RED
-ORANGE = _kernels.ORANGE
+WHITE = 0
+RED = 1
+ORANGE = 2
 
 _MAX_ENUM_EDGES = 25
+# edge states per chunk of masks (rows x max(m, n)); bounds memory only,
+# since no result depends on where the chunks split
+_CHUNK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -86,6 +98,61 @@ def _seed_array(g: Graph, seeds) -> np.ndarray:
     return arr
 
 
+def _dead_edges(g: Graph, blocked) -> np.ndarray:
+    """bool[m], true at the edge ids in ``blocked``."""
+    ids = np.asarray(blocked, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= g.m):
+        raise ValueError(f"edge id out of range [0, {g.m})")
+    dead = np.zeros(g.m, dtype=bool)
+    dead[ids] = True
+    return dead
+
+
+def reach_sweeps(indptr, tails, live, seeds):
+    """Reachability from ``seeds`` over a batch of live-edge masks.
+
+    Arcs are grouped by head: the arcs into node v are
+    ``indptr[v]:indptr[v + 1]``, ``tails`` holds their tails, and byte row
+    ``live[a]`` holds bit j set when arc a is live in mask j.  An undirected
+    graph's CSR already has this form (row v lists the arcs into v).
+    Yields ``reach``, uint8[n, live.shape[1]] with bit j of row v set when
+    mask j reaches v: first with the seed rows all ones, then after every
+    sweep that grows it.  A sweep ORs ``reach[tail] & live[arc]`` into
+    ``reach[head]`` for all arcs at once, so sweep t adds the nodes t live
+    hops from the seeds.  The same array is yielded each time, updated in
+    place.
+    """
+    targets = np.flatnonzero(np.diff(indptr))
+    starts = indptr[targets]
+    reach = np.zeros((indptr.shape[0] - 1, live.shape[1]), dtype=np.uint8)
+    reach[seeds] = 0xFF
+    yield reach
+    while targets.size:
+        cur = reach[targets]
+        grown = np.bitwise_or.reduceat(reach[tails] & live, starts, axis=0) | cur
+        if np.array_equal(grown, cur):
+            return
+        reach[targets] = grown
+        yield reach
+
+
+def reach_counts(indptr, tails, live, seeds, masks: int) -> np.ndarray:
+    """int64[masks]: the node count each of the first ``masks`` masks
+    reaches, arguments as in :func:`reach_sweeps`."""
+    for reach in reach_sweeps(indptr, tails, live, seeds):
+        pass
+    return np.unpackbits(reach, axis=1, count=masks).sum(axis=0, dtype=np.int64)
+
+
+def _arc_live(g: Graph, live: np.ndarray) -> np.ndarray:
+    """Arc bits for :func:`reach_sweeps` on g's CSR from bool[masks, m]."""
+    return np.packbits(live.T, axis=1)[g.adj_eid]
+
+
+def _chunk_rows(g: Graph) -> int:
+    return max(1, _CHUNK_ELEMENTS // max(g.m, g.n, 1))
+
+
 def cascade_round(g: Graph, coloring: Coloring, rng: np.random.Generator) -> Coloring:
     """One synchronous update step.
 
@@ -107,64 +174,54 @@ def cascade_round(g: Graph, coloring: Coloring, rng: np.random.Generator) -> Col
     return Coloring(out)
 
 
+def _round_states(hop: np.ndarray, t: int) -> np.ndarray:
+    """States after round t for nodes first reached at round ``hop`` (-1: never)."""
+    states = np.full(hop.shape, WHITE, dtype=np.uint8)
+    states[(hop >= 0) & (hop < t)] = ORANGE
+    states[hop == t] = RED
+    return states
+
+
 def run_cascade(g: Graph, seeds, seed: int, record_trajectory: bool = False) -> CascadeOutcome:
-    """Full cascade with the replicate stream derived from ``seed``."""
+    """One full cascade: replicate 0 of ``estimate_spread(g, seeds, samples, seed)``.
+
+    Round t is sweep t of :func:`reach_sweeps` on that replicate's mask.
+    """
     arr = _seed_array(g, seeds)
-    bits = seed_sequence(seed).generate_state(1, np.uint64).view(np.int64)[0]
-    if not record_trajectory:
-        state, rounds = _kernels.cascade_run(g.indptr, g.nbrs, g.adj_w, arr, bits)
-        final = Coloring(np.asarray(state))
-        return CascadeOutcome(final, int(rounds), final.count(ORANGE))
-    return _run_with_trajectory(g, arr, bits)
+    live = _arc_live(g, rng_for(seed).random((1, g.m)) < g.w)
+    hop = np.full(g.n, -1, dtype=np.int64)
+    for t, reach in enumerate(reach_sweeps(g.indptr, g.nbrs, live, arr)):
+        hop[(np.unpackbits(reach, axis=1, count=1)[:, 0] == 1) & (hop < 0)] = t
+    rounds = int(hop.max(initial=-1)) + 1
+    final = Coloring(_round_states(hop, rounds))
+    trajectory = ()
+    if record_trajectory:
+        trajectory = tuple(Coloring(_round_states(hop, t)) for t in range(rounds + 1))
+    return CascadeOutcome(final, rounds, final.count(ORANGE), trajectory)
 
 
-def _run_with_trajectory(g: Graph, arr: np.ndarray, bits) -> CascadeOutcome:
-    # python mirror of the kernel loop, consuming the identical stream
-    state = np.zeros(g.n, dtype=np.uint8)
-    state[arr] = RED
-    frontier = list(arr)
-    rng = seed_to_state(bits)
-    snaps = [Coloring(state.copy())]
-    rounds = 0
-    while frontier:
-        rounds += 1
-        newly: list[int] = []
-        marked = np.zeros(g.n, dtype=bool)
-        for u in frontier:
-            for j in range(g.indptr[u], g.indptr[u + 1]):
-                v = int(g.nbrs[j])
-                if state[v] == WHITE:
-                    rng, draw = rng_u01(rng)
-                    if NUMBA_ENABLED:
-                        rng = np.uint64(rng)
-                    if draw < g.adj_w[j] and not marked[v]:
-                        marked[v] = True
-                        newly.append(v)
-        state[frontier] = ORANGE
-        state[newly] = RED
-        frontier = newly
-        snaps.append(Coloring(state.copy()))
-    final = Coloring(state)
-    return CascadeOutcome(final, rounds, final.count(ORANGE), tuple(snaps))
-
-
-def estimate_spread(g: Graph, seeds, samples: int, master_seed: int, seed_bits=None):
+def estimate_spread(g: Graph, seeds, samples: int, master_seed: int, blocked=()):
     """Monte Carlo estimate of the expected final orange count.
 
-    Returns (mean, standard error).  ``seed_bits`` overrides the derived
-    per-replicate streams; callers use it to share streams across estimates
-    (common random numbers).
+    Returns (mean, standard error).  The edge ids in ``blocked`` are forced
+    dead.  Replicates are the rows of the uniforms drawn from
+    ``rng_for(master_seed)`` (see the module docstring), so estimates on
+    one ``master_seed`` share them (common random numbers), and blocking
+    more edges never raises any replicate's spread.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     arr = _seed_array(g, seeds)
-    if seed_bits is None:
-        seed_bits = seed_sequence(master_seed).generate_state(samples, np.uint64).view(np.int64)
-    else:
-        seed_bits = np.asarray(seed_bits, dtype=np.int64)
-        if seed_bits.shape[0] != samples:
-            raise ValueError("seed_bits length must equal samples")
-    total, total_sq = _kernels.cascade_batch(g.indptr, g.nbrs, g.adj_w, arr, seed_bits)
+    dead = _dead_edges(g, blocked)
+    rng = rng_for(master_seed)
+    step = _chunk_rows(g)
+    total = total_sq = 0
+    for done in range(0, samples, step):
+        rows = min(step, samples - done)
+        live = _arc_live(g, (rng.random((rows, g.m)) < g.w) & ~dead)
+        counts = reach_counts(g.indptr, g.nbrs, live, arr, rows)
+        total += int(counts.sum())
+        total_sq += int(counts @ counts)
     mean = total / samples
     if samples == 1:
         return mean, 0.0
@@ -178,10 +235,8 @@ def exact_spread_unit_weights(g: Graph, seeds) -> int:
     """Exact expected spread when every weight is 1: plain reachability."""
     if g.m and not np.all(g.w == 1.0):
         raise ValueError("exact reachability spread requires all weights equal to 1")
-    arr = _seed_array(g, seeds)
-    if arr.size == 0:
-        return 0
-    return int(_kernels.reach_count(g.indptr, g.nbrs, arr))
+    live = _arc_live(g, np.ones((1, g.m), dtype=bool))
+    return int(reach_counts(g.indptr, g.nbrs, live, _seed_array(g, seeds), 1)[0])
 
 
 def enumerate_spread_exact(g: Graph, seeds) -> float:
@@ -189,22 +244,27 @@ def enumerate_spread_exact(g: Graph, seeds) -> float:
 
     Each edge is independently live with probability equal to its weight;
     the expected spread is sum over subsets of P(subset) * |reachable|.
+    Mask j has edge e live when bit e of j is set; masks run in chunks.
     Guarded to m <= 25.
     """
     if g.m > _MAX_ENUM_EDGES:
         raise ValueError(f"live-edge enumeration is limited to m <= {_MAX_ENUM_EDGES}")
     arr = _seed_array(g, seeds)
-    if arr.size == 0:
-        return 0.0
-    return float(_kernels.expected_reach_live_edges(g.eu, g.ev, g.w, g.n, arr))
+    step = _chunk_rows(g)
+    total = 0.0
+    for lo in range(0, 1 << g.m, step):
+        masks = np.arange(lo, min(lo + step, 1 << g.m), dtype=np.int64)
+        live = (masks[:, None] >> np.arange(g.m)) & 1 == 1
+        prob = np.where(live, g.w, 1.0 - g.w).prod(axis=1)
+        total += float(prob @ reach_counts(g.indptr, g.nbrs, _arc_live(g, live), arr, masks.size))
+    return total
 
 
 def sample_seed_set(g: Graph, fraction: float, rng) -> SeedSet:
     """Uniform seed set of size max(1, round(fraction * n))."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must lie in (0, 1]")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(seed_sequence(rng))
+    rng = as_rng(rng)
     size = max(1, round(fraction * g.n))
     size = min(size, g.n)
     return SeedSet.of(rng.choice(g.n, size=size, replace=False))

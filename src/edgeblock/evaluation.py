@@ -6,11 +6,14 @@ of the expected final orange count:
     cf = 100 * (phi_before - phi_after) / phi_before
 
 For each seed set the baseline phi_before is estimated once and shared
-across strategies and budgets, and (by default) phi_after replicates reuse
-the same per-replicate random streams; both choices cut variance out of
-the comparison without biasing it.  Every stream derives from the master
-seed plus grid coordinates, so output is byte-identical across runs and
-worker counts.
+across strategies and budgets.  By default (common random numbers)
+phi_after is estimated on the baseline's own stream: every replicate keeps
+its uniform per edge, and the blocked edges are forced dead.  The coupling
+is pathwise, so phi_after <= phi_before in every replicate and cf lies in
+[0, 100]; it cuts variance out of the comparison without biasing it.
+Blocking is an edge mask, so no pruned graph copy is built.  Every stream
+derives from the master seed plus grid coordinates, so output is
+byte-identical across runs and worker counts.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 from . import strategies as strategies_mod
 from .cascade import estimate_spread, sample_seed_set
 from .community import SweepParams
-from .graph import Graph, remove_edges
+from .graph import Graph
 from .seeding import (
     DEFAULT_SEED,
     TAG_CASCADE,
@@ -132,19 +135,14 @@ def run_experiment(g: Graph, cfg: ExperimentConfig) -> ContainmentReport:
     """Full grid: draw seed sets, estimate baseline and post-blocking spread,
     emit per-cell detail rows and per-(strategy, budget) aggregates."""
     blocked = _blocked_sets(g, cfg)
-    pruned = {key: remove_edges(g, ids) for key, ids in blocked.items()}
-
     seed_sets = [
         sample_seed_set(g, cfg.seed_fraction, rng_for(cfg.master_seed, TAG_SEED_SETS, i))
         for i in range(cfg.seed_set_reps)
     ]
-    before_bits = [
-        replicate_seed_bits(cfg.master_seed, TAG_CASCADE, i, count=cfg.cascade_reps)
-        for i in range(cfg.seed_set_reps)
-    ]
+    # element i: master seed of seed set i's cascade stream
+    streams = replicate_seed_bits(cfg.master_seed, TAG_CASCADE, count=cfg.seed_set_reps)
     phi_before = [
-        estimate_spread(g, seed_sets[i], cfg.cascade_reps, cfg.master_seed,
-                        seed_bits=before_bits[i])[0]
+        estimate_spread(g, seed_sets[i], cfg.cascade_reps, streams[i])[0]
         for i in range(cfg.seed_set_reps)
     ]
 
@@ -156,14 +154,13 @@ def run_experiment(g: Graph, cfg: ExperimentConfig) -> ContainmentReport:
 
     def run_cell(cell):
         si, strat, bi, frac, i = cell
-        gb = pruned[(strat, frac)]
         if cfg.common_random_numbers:
-            bits = before_bits[i]
+            stream = streams[i]
         else:
-            bits = replicate_seed_bits(cfg.master_seed, TAG_CASCADE_INDEP, i, si, bi,
-                                       count=cfg.cascade_reps)
-        phi_after = estimate_spread(gb, seed_sets[i], cfg.cascade_reps,
-                                    cfg.master_seed, seed_bits=bits)[0]
+            stream = replicate_seed_bits(cfg.master_seed, TAG_CASCADE_INDEP, si, bi,
+                                         count=cfg.seed_set_reps)[i]
+        phi_after = estimate_spread(g, seed_sets[i], cfg.cascade_reps, stream,
+                                    blocked=blocked[(strat, frac)])[0]
         return cell, phi_after
 
     workers = cfg.threads

@@ -7,18 +7,12 @@ from itertools import permutations
 import numpy as np
 
 from .graph import Graph, from_edge_arrays
-from .seeding import seed_sequence
-
-
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(seed_sequence(rng))
+from .seeding import as_rng
 
 
 def planted_partition(n_blocks: int, block_size: int, p_intra: float, p_inter: float, rng) -> Graph:
     """Planted-partition graph: Bernoulli edges, dense inside blocks."""
-    rng = _as_rng(rng)
+    rng = as_rng(rng)
     n = n_blocks * block_size
     iu, jv = np.triu_indices(n, k=1)
     same = (iu // block_size) == (jv // block_size)
@@ -29,7 +23,7 @@ def planted_partition(n_blocks: int, block_size: int, p_intra: float, p_inter: f
 
 def gnm_random_graph(n: int, m: int, rng) -> Graph:
     """Uniform graph with exactly m edges (m <= C(n, 2))."""
-    rng = _as_rng(rng)
+    rng = as_rng(rng)
     iu, jv = np.triu_indices(n, k=1)
     if m > iu.shape[0]:
         raise ValueError("too many edges requested")
@@ -39,7 +33,7 @@ def gnm_random_graph(n: int, m: int, rng) -> Graph:
 
 def random_connected_graph(n: int, extra_edges: int, rng) -> Graph:
     """Random tree by sequential attachment plus extra distinct edges."""
-    rng = _as_rng(rng)
+    rng = as_rng(rng)
     edges = {(int(rng.integers(0, i)), i) for i in range(1, n)}
     ncomb = n * (n - 1) // 2
     extra_edges = min(extra_edges, ncomb - len(edges))
@@ -61,7 +55,7 @@ def random_connected_graph(n: int, extra_edges: int, rng) -> Graph:
 
 def with_random_weights(g: Graph, rng) -> Graph:
     """Uniform weights in (0, 1]."""
-    rng = _as_rng(rng)
+    rng = as_rng(rng)
     return g.with_weights(1.0 - rng.random(g.m))
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .cascade import SeedSet, _seed_array, exact_spread_unit_weights
+from .cascade import SeedSet, _dead_edges, _seed_array, reach_counts
 from .generators import connected_graphs_upto_iso
 from .graph import Graph, from_edge_arrays, girth
 
@@ -77,8 +77,8 @@ def expand_to_blocking_instance(h: Graph, construction: str = "undirected") -> B
     _check_construction(construction)
     if h.n == 0:
         raise ValueError("empty source graph")
-    reach = _kernels.reach_count(h.indptr, h.nbrs, np.zeros(1, dtype=np.int64))
-    if int(reach) != h.n:
+    all_live = np.full((h.nbrs.size, 1), 0xFF, dtype=np.uint8)
+    if reach_counts(h.indptr, h.nbrs, all_live, np.zeros(1, dtype=np.int64), 1)[0] != h.n:
         raise ValueError("source graph must be connected")
     n, m = h.n, h.m
     hub = n + m
@@ -132,23 +132,28 @@ def induced_edge_count(h: Graph, nodes) -> int:
                if int(h.eu[e]) in chosen and int(h.ev[e]) in chosen)
 
 
-def _arc_csr(g: Graph, arcs, keep=None):
-    """Out-arc CSR ``(indptr, heads, edge ids)`` of ``arcs`` restricted to
-    the edge ids where ``keep`` is true (all of them when None)."""
+def _in_arcs(g: Graph, arcs=None):
+    """Arcs grouped by head, as :func:`cascade.reach_sweeps` takes them:
+    ``(indptr, tails, edge ids)``.  Every edge conducts both ways when
+    ``arcs`` is None (g's own CSR); otherwise edge e is the single arc
+    ``arcs[e, 0] -> arcs[e, 1]``."""
+    if arcs is None:
+        return g.indptr, g.nbrs, g.adj_eid
     arcs = np.asarray(arcs, dtype=np.int64)
     if arcs.shape != (g.m, 2):
         raise ValueError("arcs must hold one (tail, head) pair per edge")
     if g.m and not (np.array_equal(np.minimum(arcs[:, 0], arcs[:, 1]), g.eu)
                     and np.array_equal(np.maximum(arcs[:, 0], arcs[:, 1]), g.ev)):
         raise ValueError("arcs must orient the graph's own edges, in edge-id order")
-    eid = np.arange(g.m, dtype=np.int64)
-    if keep is not None:
-        eid = eid[keep]
-    order = eid[np.argsort(arcs[eid, 0], kind="stable")]
+    order = np.argsort(arcs[:, 1], kind="stable")
     indptr = np.zeros(g.n + 1, dtype=np.int64)
-    np.add.at(indptr, arcs[order, 0] + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, arcs[order, 1], order
+    np.cumsum(np.bincount(arcs[:, 1], minlength=g.n), out=indptr[1:])
+    return indptr, arcs[order, 0], order
+
+
+def _require_unit_weights(g: Graph) -> None:
+    if g.m and not np.all(g.w == 1.0):
+        raise ValueError("edge-blocking optima require unit weights")
 
 
 def brute_force_edge_blocking(g: Graph, k: int, seeds, arcs=None) -> BruteForceResult:
@@ -161,18 +166,14 @@ def brute_force_edge_blocking(g: Graph, k: int, seeds, arcs=None) -> BruteForceR
 
     Bit-parallel: the subsets come in the order of
     ``itertools.combinations(range(m), k)``, in chunks of
-    ``_BLOCKING_CHUNK``, and bit j of a byte row stands for subset j of the
-    chunk.  Each arc row holds the bits of the subsets that leave its edge
-    live, each node row those that reach the node (all ones at the seeds).
-    One sweep ORs ``reach[tail] & live[arc]`` into ``reach[head]`` for every
-    arc at once, and sweeps repeat until reach stops growing, so a chunk
-    costs one sweep per hop of the longest shortest path.  Memory is about
-    m * ``_BLOCKING_CHUNK`` bytes whatever C(m, k) is.  Only a strict
+    ``_BLOCKING_CHUNK``, and each subset is one live-edge mask of
+    :func:`cascade.reach_sweeps` (its edges dead, all others live), so a
+    chunk costs one sweep per hop of the longest shortest path.  Memory is
+    about m * ``_BLOCKING_CHUNK`` bytes whatever C(m, k) is.  Only a strict
     improvement replaces the best, so the witness is the first
     lexicographic maximizer.
     """
-    if g.m and not np.all(g.w == 1.0):
-        raise ValueError("edge-blocking enumeration requires unit weights")
+    _require_unit_weights(g)
     if not 0 <= k <= g.m:
         raise ValueError("k must satisfy 0 <= k <= m")
     total = math.comb(g.m, k)
@@ -180,12 +181,7 @@ def brute_force_edge_blocking(g: Graph, k: int, seeds, arcs=None) -> BruteForceR
         raise ValueError(
             f"C({g.m}, {k}) subsets exceed the enumeration guard of {_MAX_BLOCKING_SUBSETS}")
     seed_ids = _seed_array(g, seeds)
-    indptr, heads, eid = (g.indptr, g.nbrs, g.adj_eid) if arcs is None else _arc_csr(g, arcs)
-    tails = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(indptr))
-    by_head = np.argsort(heads, kind="stable")
-    tails, heads, eid = tails[by_head], heads[by_head], eid[by_head]
-    starts = np.flatnonzero(np.diff(heads, prepend=-1))
-    targets = heads[starts]
+    indptr, tails, eid = _in_arcs(g, arcs)
     subsets = itertools.combinations(range(g.m), k)
     best, witness = -1, ()
     for done in range(0, total, _BLOCKING_CHUNK):
@@ -195,15 +191,7 @@ def brute_force_edge_blocking(g: Graph, k: int, seeds, arcs=None) -> BruteForceR
         blocked = np.zeros((g.m, s), dtype=bool)
         blocked[chunk, np.arange(s)[:, None]] = True
         live = np.packbits(~blocked, axis=1)[eid]
-        reach = np.zeros((g.n, (s + 7) // 8), dtype=np.uint8)
-        reach[seed_ids] = 0xFF
-        while starts.size:          # with no arcs the seeds reach nothing else
-            cur = reach[targets]
-            grown = np.bitwise_or.reduceat(reach[tails] & live, starts, axis=0) | cur
-            if np.array_equal(grown, cur):
-                break
-            reach[targets] = grown
-        white = g.n - np.unpackbits(reach, axis=1, count=s).sum(axis=0, dtype=np.int64)
+        white = g.n - reach_counts(indptr, tails, live, seed_ids, s)
         j = int(np.argmax(white))
         if white[j] > best:
             best, witness = int(white[j]), tuple(int(e) for e in chunk[j])
@@ -213,18 +201,10 @@ def brute_force_edge_blocking(g: Graph, k: int, seeds, arcs=None) -> BruteForceR
 def white_count_after_blocking(g: Graph, edge_ids, seeds, arcs=None) -> int:
     """Independent re-evaluation of an edge-blocking witness; ``arcs`` as
     in :func:`brute_force_edge_blocking`."""
-    from .graph import remove_edges
-
-    if arcs is None:
-        gb = remove_edges(g, edge_ids)
-        return gb.n - exact_spread_unit_weights(gb, seeds)
-    ids = np.asarray(list(edge_ids), dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= g.m):
-        raise ValueError(f"edge id out of range [0, {g.m})")
-    keep = np.ones(g.m, dtype=bool)
-    keep[ids] = False
-    indptr, heads, _ = _arc_csr(g, arcs, keep)
-    return g.n - int(_kernels.reach_count(indptr, heads, _seed_array(g, seeds)))
+    _require_unit_weights(g)
+    indptr, tails, eid = _in_arcs(g, arcs)
+    live = np.packbits(~_dead_edges(g, edge_ids)[:, None], axis=1)[eid]
+    return g.n - int(reach_counts(indptr, tails, live, _seed_array(g, seeds), 1)[0])
 
 
 @dataclass(frozen=True)

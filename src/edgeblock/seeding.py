@@ -31,11 +31,22 @@ def rng_for(master_seed, *coords):
     return np.random.default_rng(seed_sequence(master_seed, *coords))
 
 
-def replicate_seed_bits(master_seed, *coords, count):
-    """int64 array of per-replicate kernel seeds (uint64 bit patterns).
+def as_rng(rng) -> np.random.Generator:
+    """``rng`` itself when it is a Generator, else the stream keyed by the integer ``rng``."""
+    if isinstance(rng, np.random.Generator):
+        return rng
+    if isinstance(rng, (int, np.integer)):
+        return rng_for(rng)
+    raise ValueError("expected a numpy Generator or an integer seed")
 
-    Element ``i`` is a pure function of (master_seed, *coords, i), so
-    replicates can run in any order or in parallel.
+
+def replicate_seed_bits(master_seed, *coords, count):
+    """int64 array of derived seeds (uint64 bit patterns).
+
+    Element ``i`` is a pure function of (master_seed, *coords, i), not of
+    ``count``.  The experiment grid takes element i as the master seed of
+    seed set i's cascade stream, so a seed set's replicates do not depend
+    on how many seed sets run, or in which order.
     """
     u = seed_sequence(master_seed, *coords).generate_state(count, np.uint64)
     return u.view(np.int64)

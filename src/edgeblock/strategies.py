@@ -13,7 +13,7 @@ import numpy as np
 from . import community as community_mod
 from .centrality import edge_betweenness, node_closeness, node_pagerank
 from .graph import Graph
-from .seeding import TAG_STRATEGY, TAG_SWEEP, rng_for, seed_sequence
+from .seeding import TAG_STRATEGY, TAG_SWEEP, as_rng, rng_for, seed_sequence
 
 STRATEGIES = ("rndm", "hwt", "deg", "wdeg", "clo", "wclo", "bet", "wbet", "pgrk", "community")
 SCORE_STRATEGIES = STRATEGIES[:-1]
@@ -27,14 +27,6 @@ def strategy_code(name: str) -> int:
         raise ValueError(f"unknown strategy {name!r}; expected one of {', '.join(STRATEGIES)}") from None
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    if isinstance(rng, (int, np.integer)):
-        return np.random.default_rng(seed_sequence(rng))
-    raise ValueError("rndm scoring needs a Generator or an integer seed")
-
-
 def _endpoint_sum(g: Graph, node_scores: np.ndarray) -> np.ndarray:
     return node_scores[g.eu] + node_scores[g.ev]
 
@@ -43,7 +35,7 @@ def _endpoint_sum(g: Graph, node_scores: np.ndarray) -> np.ndarray:
 # New strategies plug in here; "community" stays out on purpose (it selects
 # an edge set directly instead of ranking).
 _SCORERS = {
-    "rndm": lambda g, rng, **kw: _as_rng(rng).random(g.m),
+    "rndm": lambda g, rng, **kw: as_rng(rng).random(g.m),
     "hwt": lambda g, rng, **kw: g.w.astype(np.float64, copy=True),
     "deg": lambda g, rng, **kw: _endpoint_sum(g, g.degrees.astype(np.float64)),
     "wdeg": lambda g, rng, **kw: _endpoint_sum(g, g.weighted_degrees),

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
+from edgeblock import cascade as cascade_mod
 from edgeblock.cascade import (
     ORANGE,
     RED,
@@ -76,6 +79,26 @@ def test_trajectory_matches_kernel():
     assert len(traced.trajectory) == traced.rounds + 1
 
 
+def test_run_cascade_is_replicate_zero_of_estimate():
+    for seed in range(10):
+        g = with_random_weights(gnm_random_graph(12, 24, seed), seed)
+        seeds = [seed % 12]
+        out = run_cascade(g, seeds, seed=seed)
+        assert out.orange_count == estimate_spread(g, seeds, 1, master_seed=seed)[0]
+
+
+def test_trajectory_red_layers_are_bfs_layers():
+    for seed in range(6):
+        g = gnm_random_graph(14, 18, seed + 90)    # unit weights: every edge live
+        seeds = [0, seed + 3]
+        adj = csr_matrix((np.ones(2 * g.m), g.nbrs, g.indptr), shape=(g.n, g.n))
+        hops = shortest_path(adj, unweighted=True, indices=seeds).min(axis=0)
+        out = run_cascade(g, seeds, seed=seed, record_trajectory=True)
+        assert out.rounds == int(hops[np.isfinite(hops)].max()) + 1
+        for t, snap in enumerate(out.trajectory):
+            assert np.array_equal(np.flatnonzero(snap.states == RED), np.flatnonzero(hops == t))
+
+
 def test_state_machine_invariants():
     for seed in range(10):
         g = with_random_weights(gnm_random_graph(12, 24, seed), seed)
@@ -98,6 +121,27 @@ def test_estimate_matches_enumeration_on_half_path():
     assert exact == 1.75
     mean, se = estimate_spread(HALF_P3, [0], 10000, master_seed=17)
     assert abs(mean - exact) <= 4 * se
+
+
+def test_estimate_independent_of_chunking(monkeypatch):
+    g = with_random_weights(gnm_random_graph(15, 30, 4), 4)
+    whole = estimate_spread(g, [1, 2], 500, master_seed=77, blocked=[3, 8])
+    monkeypatch.setattr(cascade_mod, "_CHUNK_ELEMENTS", 150 * g.m)
+    assert 2 * cascade_mod._chunk_rows(g) < 500     # more than two chunks
+    assert repr(estimate_spread(g, [1, 2], 500, master_seed=77, blocked=[3, 8])) == repr(whole)
+
+
+def test_estimate_non_increasing_over_nested_blocked_sets():
+    for seed in range(6):
+        g = with_random_weights(gnm_random_graph(12, 26, seed + 80), seed)
+        order = np.random.default_rng(seed).permutation(g.m)
+        values = [estimate_spread(g, [0, 5], 300, master_seed=seed, blocked=order[:k])[0]
+                  for k in (0, 3, 8, 15, 26)]
+        assert all(a >= b for a, b in zip(values, values[1:]))
+        assert values[-1] == 2.0
+    for bad in ([2], [-1]):
+        with pytest.raises(ValueError):
+            estimate_spread(P3, [0], 10, master_seed=1, blocked=bad)
 
 
 def test_estimate_empty_seed_set():

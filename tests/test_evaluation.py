@@ -119,6 +119,18 @@ def test_common_random_numbers_flag():
     assert any(x.phi_after != y.phi_after for x, y in zip(with_crn.details, without.details))
 
 
+def test_common_random_numbers_keep_cf_in_range():
+    from edgeblock.graph import assign_jaccard_weights
+
+    for s in range(1, 6):
+        g = assign_jaccard_weights(planted_partition(3, 8, 0.6, 0.1, s))
+        rep = run_experiment(g, ExperimentConfig(
+            network="crn", strategies=("rndm", "hwt"), budget_fractions=(0.05, 0.1),
+            seed_set_reps=3, cascade_reps=4, master_seed=s))
+        assert rep.out_of_range_rows() == ()
+        assert all(r.phi_after <= r.phi_before for r in rep.details)
+
+
 def test_csv_export_and_roundtrip(tmp_path):
     _, rep = _small_report()
     d = tmp_path / "d.csv"
