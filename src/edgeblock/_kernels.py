@@ -1,13 +1,19 @@
-"""Hot numeric kernels over CSR graph arrays.
+"""Sequential numeric kernels over CSR graph arrays.
 
-Every function here is nopython-compatible and decorated with ``maybe_jit``;
+What remains here is work whose steps each depend on the one before:
+girth (a BFS per root that stops at the first triangle, cheaper per call
+on the hardness lab's tiny graphs than any array setup), weighted edge
+betweenness (its (distance, node id) heap order picks the predecessors
+across zero-length edges), Louvain local moving (each move changes the
+next gains) and the lexicographic densest-subgraph enumeration.
+Distances, unweighted betweenness and common neighbors run on
+``scipy.sparse`` in ``graph`` and ``centrality``; cascades run on the
+live-edge primitive in ``cascade``.  Nothing here draws random numbers.
+
+Every function is nopython-compatible and decorated with ``maybe_jit``;
 with ``EDGEBLOCK_NO_NUMBA=1`` the same code runs as plain Python.  Kernels
-take flat arrays only (CSR adjacency: ``indptr``, ``nbrs``, plus per-slot
-weight/edge-id arrays) and allocate their own scratch space, so a shared
+take flat arrays only and allocate their own scratch space, so a shared
 read-only graph can be used from many threads (kernels are compiled nogil).
-
-Conventions: ``-1``/``np.inf`` mark unreached nodes.  Nothing here draws
-random numbers; cascades and reachability counts live in ``cascade``.
 """
 
 import numpy as np
@@ -16,45 +22,8 @@ from ._accel import maybe_jit
 
 
 # ---------------------------------------------------------------------------
-# BFS sweeps: distances, eccentricity, girth
+# girth
 # ---------------------------------------------------------------------------
-
-@maybe_jit
-def all_sources_bfs_stats(indptr, nbrs):
-    """Per-source (reachable count, distance sum, eccentricity) by hop BFS."""
-    n = indptr.shape[0] - 1
-    reach = np.zeros(n, np.int64)
-    sumd = np.zeros(n, np.int64)
-    ecc = np.zeros(n, np.int64)
-    dist = np.empty(n, np.int64)
-    queue = np.empty(n, np.int64)
-    for s in range(n):
-        for i in range(n):
-            dist[i] = -1
-        dist[s] = 0
-        queue[0] = s
-        head = 0
-        tail = 1
-        total = 0
-        far = 0
-        while head < tail:
-            u = queue[head]
-            head += 1
-            du = dist[u]
-            total += du
-            if du > far:
-                far = du
-            for j in range(indptr[u], indptr[u + 1]):
-                v = nbrs[j]
-                if dist[v] < 0:
-                    dist[v] = du + 1
-                    queue[tail] = v
-                    tail += 1
-        reach[s] = tail
-        sumd[s] = total
-        ecc[s] = far
-    return reach, sumd, ecc
-
 
 @maybe_jit
 def girth_bfs(indptr, nbrs):
@@ -97,37 +66,7 @@ def girth_bfs(indptr, nbrs):
 
 
 # ---------------------------------------------------------------------------
-# triangles / common neighbors
-# ---------------------------------------------------------------------------
-
-@maybe_jit
-def edge_common_neighbors(indptr, nbrs, eu, ev):
-    """Per-edge count of common neighbors (adjacency rows must be sorted)."""
-    m = eu.shape[0]
-    out = np.zeros(m, np.int64)
-    for e in range(m):
-        i = indptr[eu[e]]
-        iend = indptr[eu[e] + 1]
-        j = indptr[ev[e]]
-        jend = indptr[ev[e] + 1]
-        c = 0
-        while i < iend and j < jend:
-            a = nbrs[i]
-            b = nbrs[j]
-            if a == b:
-                c += 1
-                i += 1
-                j += 1
-            elif a < b:
-                i += 1
-            else:
-                j += 1
-        out[e] = c
-    return out
-
-
-# ---------------------------------------------------------------------------
-# shortest-path centrality
+# weighted edge betweenness
 # ---------------------------------------------------------------------------
 
 @maybe_jit
@@ -210,75 +149,6 @@ def _dijkstra_paths(indptr, nbrs, dlen, src, dist, done, sigma, ordseq, ordpos, 
             elif nd == dist[w]:
                 sigma[w] += sigma[v]
     return cnt
-
-
-@maybe_jit
-def all_sources_dijkstra_stats(indptr, nbrs, dlen):
-    """Per-source (reachable count, distance sum) with edge lengths dlen."""
-    n = indptr.shape[0] - 1
-    m2 = nbrs.shape[0]
-    reach = np.zeros(n, np.int64)
-    sumd = np.zeros(n, np.float64)
-    dist = np.empty(n, np.float64)
-    done = np.empty(n, np.uint8)
-    sigma = np.empty(n, np.float64)
-    ordseq = np.empty(n, np.int64)
-    ordpos = np.empty(n, np.int64)
-    cap = n + m2 + 1
-    hdist = np.empty(cap, np.float64)
-    hnode = np.empty(cap, np.int64)
-    for s in range(n):
-        cnt = _dijkstra_paths(indptr, nbrs, dlen, s, dist, done, sigma, ordseq, ordpos, hdist, hnode)
-        total = 0.0
-        for i in range(cnt):
-            total += dist[ordseq[i]]
-        reach[s] = cnt
-        sumd[s] = total
-    return reach, sumd
-
-
-@maybe_jit
-def edge_betweenness_unweighted(indptr, nbrs, adj_eid, m):
-    """Brandes edge betweenness with hop distances, over unordered pairs."""
-    n = indptr.shape[0] - 1
-    bc = np.zeros(m, np.float64)
-    dist = np.empty(n, np.int64)
-    sigma = np.empty(n, np.float64)
-    delta = np.empty(n, np.float64)
-    order = np.empty(n, np.int64)
-    for s in range(n):
-        for i in range(n):
-            dist[i] = -1
-            sigma[i] = 0.0
-            delta[i] = 0.0
-        dist[s] = 0
-        sigma[s] = 1.0
-        order[0] = s
-        head = 0
-        tail = 1
-        while head < tail:
-            u = order[head]
-            head += 1
-            for j in range(indptr[u], indptr[u + 1]):
-                v = nbrs[j]
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    order[tail] = v
-                    tail += 1
-                if dist[v] == dist[u] + 1:
-                    sigma[v] += sigma[u]
-        for idx in range(tail - 1, -1, -1):
-            w = order[idx]
-            coef = (1.0 + delta[w]) / sigma[w]
-            for j in range(indptr[w], indptr[w + 1]):
-                v = nbrs[j]
-                if dist[v] >= 0 and dist[v] == dist[w] - 1:
-                    c = sigma[v] * coef
-                    bc[adj_eid[j]] += c
-                    delta[v] += c
-    for e in range(m):
-        bc[e] *= 0.5
-    return bc
 
 
 @maybe_jit

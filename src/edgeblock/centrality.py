@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import _kernels
-from .graph import Graph, edge_distances
+from .graph import Graph, adjacency, distance_stats, row_blocks
 
 
 class ConvergenceError(RuntimeError):
@@ -34,8 +33,7 @@ def node_pagerank(g: Graph, damping: float = 0.85, tol: float = 1e-10, max_iter:
     deg = g.degrees.astype(np.float64)
     dangling = deg == 0.0
     # column-stochastic transition: y[u] = sum over neighbors v of x[v]/d(v)
-    data = 1.0 / deg[g.nbrs]
-    trans = sp.csr_matrix((data, g.nbrs, g.indptr), shape=(n, n))
+    trans = adjacency(g, 1.0 / deg[g.nbrs])
     x = np.full(n, 1.0 / n)
     teleport = (1.0 - damping) / n
     residual = np.inf
@@ -60,13 +58,7 @@ def node_closeness(g: Graph, weighted: bool = False) -> np.ndarray:
     n = g.n
     if n <= 1:
         return np.zeros(n)
-    if weighted:
-        reach, sumd = _kernels.all_sources_dijkstra_stats(g.indptr, g.nbrs, 1.0 - g.adj_w)
-        sumd = np.asarray(sumd, dtype=np.float64)
-    else:
-        reach, sumd, _ = _kernels.all_sources_bfs_stats(g.indptr, g.nbrs)
-        sumd = np.asarray(sumd, dtype=np.float64)
-    reach = np.asarray(reach, dtype=np.float64)
+    reach, sumd, _ = distance_stats(g, 1.0 - g.adj_w if weighted else None)
     out = np.zeros(n)
     pos = sumd > 0.0
     out[pos] = (reach[pos] - 1.0) ** 2 / ((n - 1.0) * sumd[pos])
@@ -85,9 +77,44 @@ def edge_betweenness(g: Graph, weighted: bool = False) -> np.ndarray:
         return np.asarray(
             _kernels.edge_betweenness_weighted(g.indptr, g.nbrs, 1.0 - g.adj_w, g.adj_eid, g.m)
         )
-    return np.asarray(
-        _kernels.edge_betweenness_unweighted(g.indptr, g.nbrs, g.adj_eid, g.m)
-    )
+    return _betweenness_by_levels(g)
+
+
+def _betweenness_by_levels(g: Graph) -> np.ndarray:
+    """Unweighted Brandes, level-synchronous over batches of sources.
+
+    Column s of the n x batch arrays belongs to one source.  The forward
+    pass advances the frontier with A @ front and counts shortest paths in
+    sigma; the backward pass walks the levels down, giving each node the
+    dependency delta[v] = sigma[v] * sum over children w of
+    (1 + delta[w]) / sigma[w].  Edge (v, w) with w one level below v
+    then carries sigma[v] * (1 + delta[w]) / sigma[w].
+    """
+    a = adjacency(g, np.ones(2 * g.m))
+    bc = np.zeros(g.m)
+    for lo, hi in row_blocks(g.n, max(g.n, g.m)):
+        cols = np.arange(hi - lo)
+        dist = np.full((g.n, cols.size), -1, dtype=np.int32)
+        sigma = np.zeros((g.n, cols.size))
+        dist[lo + cols, cols] = 0
+        sigma[lo + cols, cols] = 1.0
+        front, level = sigma.copy(), 0
+        while front.any():
+            paths = a @ front
+            new = (paths > 0.0) & (dist < 0)
+            level += 1
+            dist[new] = level
+            front = np.where(new, paths, 0.0)
+            sigma += front
+        delta = np.zeros_like(sigma)
+        for d in range(level, 0, -1):
+            coef = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=dist == d)
+            delta += np.where(dist == d - 1, sigma * (a @ coef), 0.0)
+        coef = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=dist >= 0)
+        for u, v in ((g.eu, g.ev), (g.ev, g.eu)):
+            below = dist[v] == dist[u] + 1
+            bc += np.einsum("ij,ij->i", np.where(below, sigma[u], 0.0), coef[v])
+    return bc * 0.5
 
 
 __all__ = [
@@ -95,5 +122,4 @@ __all__ = [
     "node_pagerank",
     "node_closeness",
     "edge_betweenness",
-    "edge_distances",
 ]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .graph import Graph
+from .graph import Graph, csr_index
 from .seeding import DEFAULT_SEED, rng_for, seed_sequence
 
 
@@ -75,23 +75,6 @@ def modularity(g: Graph, partition: Partition, resolution: float = 1.0,
     return float((intra / total - resolution * (dtot / (2.0 * total)) ** 2).sum())
 
 
-def _build_level_csr(n, eu, ev, w, loops):
-    half = np.concatenate([eu, ev])
-    other = np.concatenate([ev, eu])
-    ws = np.concatenate([w, w])
-    order = np.lexsort((other, half))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, half + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    nbrs = other[order]
-    adj_w = ws[order]
-    node_k = np.zeros(n)
-    np.add.at(node_k, eu, w)
-    np.add.at(node_k, ev, w)
-    node_k += 2.0 * loops
-    return indptr, nbrs, adj_w, node_k
-
-
 def _aggregate(labels, eu, ev, w, loops):
     nc = int(labels.max()) + 1
     cu = labels[eu]
@@ -140,7 +123,11 @@ def louvain_partition(g: Graph, resolution: float, rng,
     size = g.n
 
     while True:
-        indptr, nbrs, adj_w, node_k = _build_level_csr(size, eu, ev, w, loops)
+        indptr, nbrs, adj_w = csr_index(size, eu, ev, w)
+        node_k = np.zeros(size)
+        np.add.at(node_k, eu, w)
+        np.add.at(node_k, ev, w)
+        node_k += 2.0 * loops
         two_m = float(node_k.sum())
         if two_m == 0.0:
             break

@@ -18,10 +18,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import _kernels
 
 log = logging.getLogger(__name__)
+
+# elements per block (rows x row width) of the common-neighbor products,
+# the shortest-path source blocks and the Brandes source batches; bounds
+# memory only, since no result depends on where the blocks split
+_BLOCK_ELEMENTS = 1 << 16
 
 
 class ParseError(ValueError):
@@ -106,6 +112,22 @@ class Graph:
         return self.labels[v] if self.labels is not None else v
 
 
+def csr_index(n, eu, ev, *per_edge):
+    """Undirected CSR over n nodes: ``(indptr, nbrs, *per_slot)``.
+
+    Each edge (eu[e], ev[e]) gets a slot in both endpoint rows, rows are
+    sorted by neighbor id, and every array in ``per_edge`` is copied to the
+    slots of its edge.
+    """
+    half = np.concatenate([eu, ev])
+    other = np.concatenate([ev, eu])
+    order = np.lexsort((other, half))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(indptr, half + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return (indptr, other[order], *(np.concatenate([a, a])[order] for a in per_edge))
+
+
 def from_edge_arrays(n, eu, ev, w=None, labels=None) -> Graph:
     """Build a Graph from endpoint arrays.
 
@@ -140,24 +162,16 @@ def from_edge_arrays(n, eu, ev, w=None, labels=None) -> Graph:
         if np.any(dup):
             raise ValueError("duplicate edges are not allowed")
 
-    half = np.concatenate([lo, hi])
-    other = np.concatenate([hi, lo])
-    eids = np.concatenate([np.arange(m), np.arange(m)])
-    ws = np.concatenate([w, w])
-    aorder = np.lexsort((other, half))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, half + 1, 1)
-    np.cumsum(indptr, out=indptr)
-
+    indptr, nbrs, adj_w, adj_eid = csr_index(n, lo, hi, w, np.arange(m))
     return Graph(
         n=int(n),
         eu=_freeze(lo),
         ev=_freeze(hi),
         w=_freeze(w),
         indptr=_freeze(indptr),
-        nbrs=_freeze(other[aorder]),
-        adj_w=_freeze(ws[aorder]),
-        adj_eid=_freeze(eids[aorder]),
+        nbrs=_freeze(nbrs),
+        adj_w=_freeze(adj_w),
+        adj_eid=_freeze(adj_eid),
         labels=tuple(labels) if labels is not None else None,
     )
 
@@ -299,6 +313,54 @@ def write_edge_list(g: Graph, sink) -> None:
 # derived quantities
 # ---------------------------------------------------------------------------
 
+def row_blocks(rows: int, width: int):
+    """Consecutive ``(lo, hi)`` row ranges of at most _BLOCK_ELEMENTS
+    elements when each row holds ``width``."""
+    step = max(1, _BLOCK_ELEMENTS // max(width, 1))
+    for lo in range(0, rows, step):
+        yield lo, min(lo + step, rows)
+
+
+def adjacency(g: Graph, data) -> sp.csr_array:
+    """g's CSR index as an n x n sparse array with per-slot values ``data``."""
+    return sp.csr_array((data, g.nbrs, g.indptr), shape=(g.n, g.n))
+
+
+def _common_neighbors(g: Graph) -> np.ndarray:
+    """Per-edge count of common neighbors: (A @ A)[eu, ev], by node-row
+    blocks; eu is sorted, so each block owns a contiguous run of edge ids."""
+    a = adjacency(g, np.ones(2 * g.m, dtype=np.int32))
+    out = np.zeros(g.m, dtype=np.int64)
+    for lo, hi in row_blocks(g.n, g.n):
+        e0, e1 = np.searchsorted(g.eu, [lo, hi])
+        if e0 < e1:
+            out[e0:e1] = (a[lo:hi] @ a)[g.eu[e0:e1] - lo, g.ev[e0:e1]]
+    return out
+
+
+def distance_stats(g: Graph, lengths=None):
+    """Per source: (reachable node count, distance sum, eccentricity).
+
+    Hop distances by default, else shortest paths over the per-slot edge
+    ``lengths`` (zero is a legal length).  Sources run in blocks.
+    """
+    from scipy.sparse import csgraph
+
+    a = adjacency(g, np.ones(2 * g.m) if lengths is None else lengths)
+    reach = np.zeros(g.n, dtype=np.int64)
+    sumd = np.zeros(g.n)
+    ecc = np.zeros(g.n)
+    for lo, hi in row_blocks(g.n, g.n):
+        dist = csgraph.shortest_path(a, method="D", unweighted=lengths is None,
+                                     indices=np.arange(lo, hi))
+        finite = np.isfinite(dist)
+        dist[~finite] = 0.0
+        reach[lo:hi] = finite.sum(axis=1)
+        sumd[lo:hi] = dist.sum(axis=1)
+        ecc[lo:hi] = dist.max(axis=1)
+    return reach, sumd, ecc
+
+
 def assign_jaccard_weights(g: Graph) -> Graph:
     """Reweight every edge (u, v) by |N̂(u) ∩ N̂(v)| / |N(u) ∪ N(v)|.
 
@@ -307,7 +369,7 @@ def assign_jaccard_weights(g: Graph) -> Graph:
     """
     if g.m == 0:
         raise ValueError("graph has no edges to weight")
-    common = _kernels.edge_common_neighbors(g.indptr, g.nbrs, g.eu, g.ev)
+    common = _common_neighbors(g)
     deg = g.degrees
     numer = common + 2
     denom = deg[g.eu] + deg[g.ev] - common
@@ -319,10 +381,6 @@ def edge_distance(g: Graph, e: int) -> float:
     if not 0 <= e < g.m:
         raise ValueError(f"edge id {e} out of range [0, {g.m})")
     return float(1.0 - g.w[e])
-
-
-def edge_distances(g: Graph) -> np.ndarray:
-    return 1.0 - g.w
 
 
 @dataclass(frozen=True)
@@ -338,14 +396,15 @@ class GraphStats:
 
 
 def graph_stats(g: Graph) -> GraphStats:
-    """Structural summary; diameter comes from all-sources BFS."""
+    """Structural summary; the diameter comes from hop distances between
+    all node pairs, the triangle count from common neighbors per edge."""
     n, m = g.n, g.m
     deg = g.degrees
     d_max = int(deg.max()) if n else 0
     d_avg = 2.0 * m / n if n else 0.0
 
     if n:
-        reach, _, ecc = _kernels.all_sources_bfs_stats(g.indptr, g.nbrs)
+        reach, _, ecc = distance_stats(g)
         largest = int(reach.max())
         connected = largest == n
         diameter = int(ecc[reach == largest].max())
@@ -355,7 +414,7 @@ def graph_stats(g: Graph) -> GraphStats:
     triangles = 0
     k_avg = 0.0
     if m:
-        common = _kernels.edge_common_neighbors(g.indptr, g.nbrs, g.eu, g.ev)
+        common = _common_neighbors(g)
         triangles = int(common.sum()) // 3
         tri2 = np.zeros(n, dtype=np.int64)   # 2x triangles through each node
         np.add.at(tri2, g.eu, common)

@@ -5,6 +5,7 @@ enumeration, triple loops, dense linear algebra, exhaustive partitions)
 and stays independent of the library's own algorithms.
 """
 
+import heapq
 import itertools
 import math
 
@@ -47,6 +48,47 @@ def _bfs_dist_without_edge(g, src, banned_edge):
                     nxt.append(v)
         queue = nxt
     return dist
+
+
+def heap_dijkstra(g, src, lengths):
+    """Distances from src by a textbook heapq Dijkstra over edge-id lengths;
+    unreached nodes are absent."""
+    dist = {}
+    heap = [(0.0, src)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in dist:
+            continue
+        dist[u] = d
+        for j in range(g.indptr[u], g.indptr[u + 1]):
+            v = int(g.nbrs[j])
+            if v not in dist:
+                heapq.heappush(heap, (d + lengths[g.adj_eid[j]], v))
+    return dist
+
+
+def dijkstra_closeness(g):
+    """(r-1)^2 / ((n-1) * distance sum) per node on edge lengths 1 - weight,
+    0 on a zero sum."""
+    out = np.zeros(g.n)
+    for v in range(g.n):
+        dist = heap_dijkstra(g, v, 1.0 - g.w)
+        total = sum(dist.values())
+        if total > 0:
+            out[v] = (len(dist) - 1) ** 2 / ((g.n - 1) * total)
+    return out
+
+
+def brute_diameter(g):
+    """(diameter of the largest component, connected) by BFS from every
+    node; among equally large components the longest distance counts."""
+    comps = []
+    for v in range(g.n):
+        dist = _bfs_dist_without_edge(g, v, -1)
+        comps.append((sum(d < math.inf for d in dist),
+                      max(d for d in dist if d < math.inf)))
+    largest = max(size for size, _ in comps)
+    return max(ecc for size, ecc in comps if size == largest), largest == g.n
 
 
 def _all_simple_paths(g, s, t, lengths):

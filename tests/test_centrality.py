@@ -9,7 +9,12 @@ from edgeblock.centrality import (
 )
 from edgeblock.generators import gnm_random_graph, with_random_weights
 from edgeblock.graph import from_edge_arrays
-from oracle_utils import brute_edge_betweenness, dense_pagerank
+from oracle_utils import (
+    brute_edge_betweenness,
+    dense_pagerank,
+    dijkstra_closeness,
+    heap_dijkstra,
+)
 
 P3 = from_edge_arrays(3, [0, 1], [1, 2])
 K3 = from_edge_arrays(3, [0, 0, 1], [1, 2, 2])
@@ -62,6 +67,22 @@ def test_closeness_weighted_uses_one_minus_weight():
     assert clo[0] == pytest.approx(4 / (2 * 1.25))
     assert clo[1] == pytest.approx(4 / (2 * 0.75))
     assert clo[2] == pytest.approx(4 / (2 * 1.0))
+
+
+def test_closeness_weighted_matches_dijkstra_oracle():
+    # weight-1 (zero-length) edges, isolated nodes and several components
+    seen = {"unit": 0, "isolated": 0, "split": 0}
+    for seed in range(12):
+        g = gnm_random_graph(14, 9 + seed % 4, seed + 70)
+        rng = np.random.default_rng(seed)
+        g = g.with_weights(np.where(rng.random(g.m) < 0.3, 1.0, 1.0 - rng.random(g.m)))
+        seen["unit"] += int(np.any(g.w == 1.0))
+        seen["isolated"] += int(np.any(g.degrees == 0))
+        comps = {frozenset(heap_dijkstra(g, v, np.ones(g.m))) for v in range(g.n)}
+        seen["split"] += int(sum(len(c) > 1 for c in comps) > 1)
+        got = node_closeness(g, weighted=True)
+        assert np.allclose(got, dijkstra_closeness(g), rtol=1e-12, atol=0.0)
+    assert min(seen.values()) >= 6, seen
 
 
 def test_pagerank_symmetry_and_trivials():

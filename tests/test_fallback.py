@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import edgeblock
 from edgeblock._accel import DISABLE_ENV_VAR, NUMBA_ENABLED
 
 # computed in whichever mode the current process runs, and re-computed in a
@@ -44,6 +46,9 @@ print(json.dumps(out))
 def _run_probe(disable: bool):
     env = dict(os.environ)
     env[DISABLE_ENV_VAR] = "1" if disable else "0"
+    # the child imports the same edgeblock as this process, installed or not
+    src = str(Path(edgeblock.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _PROBE], env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr

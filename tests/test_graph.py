@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from edgeblock import graph as graph_mod
+from edgeblock.centrality import edge_betweenness, node_closeness
 from edgeblock.generators import gnm_random_graph, with_random_weights
 from edgeblock.graph import (
     ParseError,
@@ -16,9 +18,10 @@ from edgeblock.graph import (
     graph_stats,
     parse_edge_list,
     remove_edges,
+    row_blocks,
     write_edge_list,
 )
-from oracle_utils import brute_girth, brute_triangles
+from oracle_utils import brute_diameter, brute_edge_betweenness, brute_girth, brute_triangles
 
 K3 = from_edge_arrays(3, [0, 0, 1], [1, 2, 2])
 P3 = from_edge_arrays(3, [0, 1], [1, 2])
@@ -162,6 +165,36 @@ def test_triangles_match_bruteforce():
     for seed, (n, m) in enumerate([(10, 20), (20, 60), (50, 200), (30, 29)]):
         g = gnm_random_graph(n, m, seed)
         assert graph_stats(g).triangles == brute_triangles(g)
+
+
+def _blocked_layers(g):
+    jac = assign_jaccard_weights(g)
+    return (jac.w.tolist(), graph_stats(g), node_closeness(g).tolist(),
+            node_closeness(jac, weighted=True).tolist())
+
+
+def test_results_independent_of_block_size(monkeypatch):
+    sparse = [gnm_random_graph(10, 9 + s % 3, s + 40) for s in range(8)]   # mostly split
+    dense = [gnm_random_graph(10, 22, s + 40) for s in range(3)]           # many triangles
+    # the largest component (a star) is not the one with the longest path
+    star_and_path = from_edge_arrays(10, [0, 0, 0, 0, 0, 6, 7, 8], [1, 2, 3, 4, 5, 7, 8, 9])
+    assert brute_diameter(star_and_path) == (2, False)
+    split = 0
+    for g in sparse + dense + [star_and_path]:
+        whole = _blocked_layers(g)
+        with monkeypatch.context() as patch:
+            patch.setattr(graph_mod, "_BLOCK_ELEMENTS", 2 * max(g.n, g.m))
+            # common-neighbor rows and distance sources; Brandes batches
+            assert len(list(row_blocks(g.n, g.n))) > 2
+            assert len(list(row_blocks(g.n, max(g.n, g.m)))) > 2
+            assert _blocked_layers(g) == whole
+            assert np.allclose(edge_betweenness(g), brute_edge_betweenness(g),
+                               rtol=0.0, atol=1e-9)
+            s = graph_stats(g)
+        assert s.triangles == brute_triangles(g)
+        assert (s.diameter, s.connected) == brute_diameter(g)
+        split += not s.connected
+    assert split >= 7
 
 
 def test_davg_exact_relation():
