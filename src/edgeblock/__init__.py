@@ -9,12 +9,13 @@ identities on small instances by brute force.
 
 __version__ = "0.1.0"
 
-from ._accel import NUMBA_ENABLED
+# every kernel is plain Python/numpy; kept for scripts that still print it
+NUMBA_ENABLED = False
+
 from .cascade import (
     CascadeOutcome,
     Coloring,
     SeedSet,
-    cascade_round,
     enumerate_spread_exact,
     estimate_spread,
     exact_spread_unit_weights,

@@ -153,27 +153,6 @@ def _chunk_rows(g: Graph) -> int:
     return max(1, _CHUNK_ELEMENTS // max(g.m, g.n, 1))
 
 
-def cascade_round(g: Graph, coloring: Coloring, rng: np.random.Generator) -> Coloring:
-    """One synchronous update step.
-
-    Attempts are evaluated per (red node, white neighbor) pair in node and
-    adjacency order, one uniform draw each, so a white node with several
-    red neighbors stays white with prod(1 - w).
-    """
-    states = coloring.states
-    out = states.copy()
-    newly = np.zeros(g.n, dtype=bool)
-    reds = np.flatnonzero(states == RED)
-    for u in reds:
-        for j in range(g.indptr[u], g.indptr[u + 1]):
-            v = g.nbrs[j]
-            if states[v] == WHITE and rng.random() < g.adj_w[j]:
-                newly[v] = True
-    out[reds] = ORANGE
-    out[newly] = RED
-    return Coloring(out)
-
-
 def _round_states(hop: np.ndarray, t: int) -> np.ndarray:
     """States after round t for nodes first reached at round ``hop`` (-1: never)."""
     states = np.full(hop.shape, WHITE, dtype=np.uint8)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import heapq
+import math
+
 import numpy as np
 
-from . import _kernels
 from .graph import Graph, adjacency, distance_stats, row_blocks
 
 
@@ -74,10 +76,53 @@ def edge_betweenness(g: Graph, weighted: bool = False) -> np.ndarray:
     if g.m == 0:
         return np.zeros(0)
     if weighted:
-        return np.asarray(
-            _kernels.edge_betweenness_weighted(g.indptr, g.nbrs, 1.0 - g.adj_w, g.adj_eid, g.m)
-        )
+        return _betweenness_weighted(g)
     return _betweenness_by_levels(g)
+
+
+def _betweenness_weighted(g: Graph) -> np.ndarray:
+    """Brandes with edge length 1 - weight, one Dijkstra per source.
+
+    The heap holds (distance, node) keys, which never repeat, since a node
+    is pushed again only at a strictly smaller distance; so nodes are
+    finalized in a fixed order even across zero-length edges.  v is a
+    predecessor of w when it was finalized first and dist[v] + len(v, w)
+    equals dist[w] exactly, which keeps the shortest-path DAG acyclic.
+    """
+    indptr, nbrs, eids = g.indptr.tolist(), g.nbrs.tolist(), g.adj_eid.tolist()
+    length = (1.0 - g.adj_w).tolist()
+    bc = [0.0] * g.m
+    for s in range(g.n):
+        dist, sigma, pos = [math.inf] * g.n, [0.0] * g.n, [-1] * g.n
+        dist[s], sigma[s] = 0.0, 1.0
+        order = []
+        heap = [(0.0, s)]
+        while heap:
+            d, v = heapq.heappop(heap)
+            if pos[v] >= 0:
+                continue
+            pos[v] = len(order)
+            order.append(v)
+            for j in range(indptr[v], indptr[v + 1]):
+                w = nbrs[j]
+                if pos[w] >= 0:
+                    continue
+                nd = d + length[j]
+                if nd < dist[w]:
+                    dist[w], sigma[w] = nd, sigma[v]
+                    heapq.heappush(heap, (nd, w))
+                elif nd == dist[w]:
+                    sigma[w] += sigma[v]
+        delta = [0.0] * g.n
+        for w in reversed(order):
+            coef = (1.0 + delta[w]) / sigma[w]
+            for j in range(indptr[w], indptr[w + 1]):
+                v = nbrs[j]
+                if pos[v] < pos[w] and dist[v] + length[j] == dist[w]:
+                    c = sigma[v] * coef
+                    bc[eids[j]] += c
+                    delta[v] += c
+    return np.array(bc) * 0.5
 
 
 def _betweenness_by_levels(g: Graph) -> np.ndarray:

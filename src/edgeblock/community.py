@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .graph import Graph, csr_index
-from .seeding import DEFAULT_SEED, rng_for, seed_sequence
+from .seeding import DEFAULT_SEED, as_rng, rng_for
 
 
 @dataclass(frozen=True)
@@ -99,6 +98,42 @@ def _aggregate(labels, eu, ev, w, loops):
     return new_eu, new_ev, new_w, new_loops
 
 
+def _local_moving(indptr, nbrs, w, node_k, order, gamma, two_m) -> np.ndarray:
+    """Greedy moves of single nodes, in ``order``, until a pass moves none.
+
+    Returns the community of each node, starting from singletons.  Node v
+    goes to the community c with the largest w(v, c) - gamma * tot_c * k_v
+    / two_m (terms shared by all c dropped), and leaves its own only for a
+    gain larger by more than 1e-12.  Link weights are summed per community
+    in the order v's neighbors are listed, and ties go to the community
+    touched first.
+    """
+    indptr, nbrs, w = indptr.tolist(), nbrs.tolist(), w.tolist()
+    node_k, order = node_k.tolist(), order.tolist()
+    comm = list(range(len(node_k)))
+    tot = list(node_k)
+    moved = True
+    while moved:
+        moved = False
+        for v in order:
+            cv, kv = comm[v], node_k[v]
+            links = {}
+            for j in range(indptr[v], indptr[v + 1]):
+                c = comm[nbrs[j]]
+                links[c] = links.get(c, 0.0) + w[j]
+            tot[cv] -= kv
+            best, bc = links.get(cv, 0.0) - gamma * tot[cv] * kv / two_m, cv
+            for c, wc in links.items():
+                gain = wc - gamma * tot[c] * kv / two_m
+                if c != cv and gain > best + 1e-12:
+                    best, bc = gain, c
+            tot[bc] += kv
+            if bc != cv:
+                comm[v] = bc
+                moved = True
+    return np.array(comm, dtype=np.int64)
+
+
 def louvain_partition(g: Graph, resolution: float, rng,
                       use_weights: bool = False) -> Partition:
     """Two-phase Louvain: greedy local moves, then graph aggregation,
@@ -110,8 +145,7 @@ def louvain_partition(g: Graph, resolution: float, rng,
     """
     if resolution <= 0.0:
         raise ValueError("resolution must be positive")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(seed_sequence(rng))
+    rng = as_rng(rng)
     if g.m == 0:
         return Partition(np.arange(g.n, dtype=np.int64))
 
@@ -131,17 +165,9 @@ def louvain_partition(g: Graph, resolution: float, rng,
         two_m = float(node_k.sum())
         if two_m == 0.0:
             break
-        comm = np.arange(size, dtype=np.int64)
-        comm_tot = node_k.copy()
-        order = rng.permutation(size).astype(np.int64)
-        while True:
-            moves = _kernels.louvain_local_pass(
-                indptr, nbrs, adj_w, node_k, comm, comm_tot, order,
-                float(resolution), two_m,
-            )
-            if moves == 0:
-                break
-        labels = _dense_relabel(comm)
+        order = rng.permutation(size)
+        labels = _dense_relabel(_local_moving(indptr, nbrs, adj_w, node_k, order,
+                                              float(resolution), two_m))
         ncomm = int(labels.max()) + 1
         mapping = labels[mapping]
         if ncomm == size:

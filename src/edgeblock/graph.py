@@ -20,8 +20,6 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from . import _kernels
-
 log = logging.getLogger(__name__)
 
 # elements per block (rows x row width) of the common-neighbor products,
@@ -431,11 +429,29 @@ def graph_stats(g: Graph) -> GraphStats:
 
 
 def girth(g: Graph):
-    """Length of the shortest cycle, math.inf for acyclic graphs."""
-    if g.m == 0:
-        return math.inf
-    best = _kernels.girth_bfs(g.indptr, g.nbrs)
-    return math.inf if best == 0 else int(best)
+    """Length of the shortest cycle, math.inf for acyclic graphs.
+
+    BFS from every root; any scanned non-tree edge (x, y) closes a walk of
+    length dist[x] + dist[y] + 1 through the root, which never undershoots
+    the girth, and roots on a shortest cycle realize it exactly.  A plain
+    loop: the hardness lab's graphs are too small to repay array setup.
+    """
+    indptr, nbrs = g.indptr.tolist(), g.nbrs.tolist()
+    best = math.inf
+    for s in range(g.n):
+        dist, parent = {s: 0}, {s: -1}
+        queue = [s]
+        for u in queue:
+            for v in nbrs[indptr[u]:indptr[u + 1]]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    parent[v] = u
+                    queue.append(v)
+                elif v != parent[u]:
+                    best = min(best, dist[u] + dist[v] + 1)
+        if best == 3:
+            break
+    return best
 
 
 def remove_edges(g: Graph, edge_ids) -> Graph:

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .cascade import SeedSet, _dead_edges, _seed_array, reach_counts
 from .generators import connected_graphs_upto_iso
 from .graph import Graph, from_edge_arrays, girth
@@ -117,12 +116,19 @@ def brute_force_densest_subgraph(h: Graph, k: int) -> BruteForceResult:
         raise ValueError("k must satisfy 0 <= k <= n")
     if h.n > _MAX_DS_NODES:
         raise ValueError(f"densest-subgraph enumeration is limited to n <= {_MAX_DS_NODES}")
-    adj_bits = np.zeros(h.n, dtype=np.int64)
-    for e in range(h.m):
-        adj_bits[h.eu[e]] |= 1 << int(h.ev[e])
-        adj_bits[h.ev[e]] |= 1 << int(h.eu[e])
-    value, comb = _kernels.best_k_subgraph(adj_bits, h.n, k)
-    return BruteForceResult(int(value), tuple(int(v) for v in comb))
+    bits = [0] * h.n
+    for u, v in zip(h.eu.tolist(), h.ev.tolist()):
+        bits[u] |= 1 << v
+        bits[v] |= 1 << u
+    # subsets come in lexicographic order, and only a strictly larger count
+    # replaces the witness
+    best, witness = -1, ()
+    for comb in itertools.combinations(range(h.n), k):
+        chosen = sum(1 << v for v in comb)
+        count = sum((bits[v] & chosen).bit_count() for v in comb) // 2
+        if count > best:
+            best, witness = count, comb
+    return BruteForceResult(best, witness)
 
 
 def induced_edge_count(h: Graph, nodes) -> int:

@@ -8,9 +8,7 @@ from edgeblock.cascade import (
     ORANGE,
     RED,
     WHITE,
-    Coloring,
     SeedSet,
-    cascade_round,
     enumerate_spread_exact,
     estimate_spread,
     exact_spread_unit_weights,
@@ -28,30 +26,24 @@ HALF_P3 = P3.with_weights(np.array([0.5, 0.5]))
 
 def test_round_single_red_neighbor_probability():
     g = from_edge_arrays(2, [0], [1], [0.7])
-    rng = np.random.default_rng(0)
-    hits = sum(
-        cascade_round(g, Coloring.initial(2, [0]), rng).states[1] == RED
-        for _ in range(20000)
-    )
+    # node 1 is red after round 1 exactly when it is ever reached
+    mean, _ = estimate_spread(g, [0], 20000, master_seed=0)
+    hits = round(mean * 20000) - 20000
     # binomial(20000, 0.7): four sigma is ~260
     assert abs(hits - 14000) < 260
 
 
 def test_round_two_red_neighbors_combine():
     g = from_edge_arrays(3, [0, 1], [2, 2], [0.5, 0.5])
-    rng = np.random.default_rng(1)
-    hits = 0
-    for _ in range(20000):
-        c = Coloring(np.array([RED, RED, WHITE], dtype=np.uint8))
-        hits += cascade_round(g, c, rng).states[2] == RED
+    mean, _ = estimate_spread(g, [0, 1], 20000, master_seed=1)
+    hits = round(mean * 20000) - 2 * 20000
     # p* = 1 - 0.25 = 0.75; four sigma is ~245
     assert abs(hits - 15000) < 245
 
 
 def test_round_no_red_neighbors_stays_white():
     g = from_edge_arrays(3, [0], [1], [1.0])
-    c = Coloring(np.array([RED, WHITE, WHITE], dtype=np.uint8))
-    out = cascade_round(g, c, np.random.default_rng(2))
+    out = run_cascade(g, [0], seed=2, record_trajectory=True).trajectory[1]
     assert out.states[2] == WHITE
     assert out.states[0] == ORANGE
 

@@ -55,6 +55,8 @@ def test_louvain_edgeless_graph():
     g = from_edge_arrays(5, [], [])
     part = louvain_partition(g, 1.0, rng_for(1, 0))
     assert part.labels.tolist() == [0, 1, 2, 3, 4]
+    with pytest.raises(ValueError):
+        louvain_partition(g, 1.0, None)
 
 
 def test_louvain_k4_single_community():

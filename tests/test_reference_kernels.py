@@ -1,0 +1,60 @@
+"""The plain-Python sequential helpers against the array kernels they
+replaced (kept in ``oracle_utils``): same bits, same labels, same witnesses."""
+
+import math
+
+import numpy as np
+import pytest
+
+from edgeblock import community
+from edgeblock.centrality import edge_betweenness
+from edgeblock.community import louvain_partition
+from edgeblock.generators import gnm_random_graph, planted_partition
+from edgeblock.graph import assign_jaccard_weights, girth
+from edgeblock.hardness import brute_force_densest_subgraph
+from edgeblock.seeding import rng_for
+from oracle_utils import (
+    densest_reference,
+    edge_betweenness_weighted,
+    girth_bfs,
+    louvain_moving_reference,
+)
+
+# Jaccard weights make every edge of a complete graph length 0 (1 - weight)
+GRAPHS = {
+    **{f"gnm-{n}-{m}-{s}": (n, m, s) for n, m, s in [
+        (5, 6, 0), (6, 9, 1), (7, 12, 2), (7, 21, 3), (9, 14, 4), (12, 30, 5),
+        (17, 40, 6), (23, 60, 7), (29, 100, 8)]},
+    **{f"K{n}": (n, n * (n - 1) // 2, 0) for n in (4, 5, 7)},
+    "planted-small": (4, 20, 0.6, 0.02, 105),
+    "planted-mid": (4, 40, 0.3, 0.02, 1),
+}
+
+
+def _graph(args):
+    gen = gnm_random_graph if len(args) == 3 else planted_partition
+    return assign_jaccard_weights(gen(*args))
+
+
+def _louvain_labels(g):
+    return [louvain_partition(g, r, rng_for(7, i), use_weights=uw).labels
+            for i, r in enumerate((0.5, 1.0, 2.0)) for uw in (False, True)]
+
+
+@pytest.mark.parametrize("name", GRAPHS)
+def test_helpers_match_array_kernels(name, monkeypatch):
+    g = _graph(GRAPHS[name])
+    assert girth(g) == (girth_bfs(g.indptr, g.nbrs) or math.inf)
+
+    ref = edge_betweenness_weighted(g.indptr, g.nbrs, 1.0 - g.adj_w, g.adj_eid, g.m)
+    assert edge_betweenness(g, weighted=True).tobytes() == ref.tobytes()
+
+    labels = _louvain_labels(g)
+    monkeypatch.setattr(community, "_local_moving", louvain_moving_reference)
+    for got, want in zip(labels, _louvain_labels(g)):
+        assert np.array_equal(got, want)
+
+    if g.n <= 7:
+        for k in range(g.n + 1):
+            res = brute_force_densest_subgraph(g, k)
+            assert (res.value, res.witness) == densest_reference(g, k)
