@@ -18,6 +18,7 @@ from .cascade import (
     SeedSet,
     enumerate_spread_exact,
     estimate_spread,
+    estimate_spreads,
     exact_spread_unit_weights,
     run_cascade,
     sample_seed_set,
@@ -69,6 +70,7 @@ from .strategies import (
     SCORE_STRATEGIES,
     STRATEGIES,
     blocked_edges,
+    blocked_sets,
     score_edges,
     select_blocked_edges,
 )

@@ -98,14 +98,11 @@ def _seed_array(g: Graph, seeds) -> np.ndarray:
     return arr
 
 
-def _dead_edges(g: Graph, blocked) -> np.ndarray:
-    """bool[m], true at the edge ids in ``blocked``."""
-    ids = np.asarray(blocked, dtype=np.int64)
+def _edge_ids(g: Graph, blocked) -> np.ndarray:
+    ids = np.asarray(blocked, dtype=np.int64).reshape(-1)
     if ids.size and (ids.min() < 0 or ids.max() >= g.m):
         raise ValueError(f"edge id out of range [0, {g.m})")
-    dead = np.zeros(g.m, dtype=bool)
-    dead[ids] = True
-    return dead
+    return ids
 
 
 def reach_sweeps(indptr, tails, live, seeds):
@@ -180,34 +177,48 @@ def run_cascade(g: Graph, seeds, seed: int, record_trajectory: bool = False) -> 
 
 
 def estimate_spread(g: Graph, seeds, samples: int, master_seed: int, blocked=()):
-    """Monte Carlo estimate of the expected final orange count.
+    """(mean, standard error) of :func:`estimate_spreads` for one blocked set."""
+    means, errors = estimate_spreads(g, seeds, samples, master_seed, [blocked])
+    return means[0], errors[0]
 
-    Returns (mean, standard error).  The edge ids in ``blocked`` are forced
-    dead.  Replicates are the rows of the uniforms drawn from
-    ``rng_for(master_seed)`` (see the module docstring), so estimates on
-    one ``master_seed`` share them (common random numbers), and blocking
-    more edges never raises any replicate's spread.
+
+def estimate_spreads(g: Graph, seeds, samples: int, master_seed: int, blocked_sets):
+    """Monte Carlo estimates of the expected final orange count, one per
+    blocked set, as lists (means, standard errors).
+
+    Replicate rows are drawn once from ``rng_for(master_seed)`` (see the
+    module docstring) and masked once per set, with the set's edge ids
+    forced dead; so estimates on one ``master_seed`` share their uniforms
+    (common random numbers), and blocking more edges never raises any
+    replicate's spread.  Each chunk of at most ``_CHUNK_ELEMENTS`` edge
+    states, split over rows and sets, takes one :func:`reach_counts` call.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     arr = _seed_array(g, seeds)
-    dead = _dead_edges(g, blocked)
+    sets = [_edge_ids(g, b) for b in blocked_sets]
+    sums = [[0, 0] for _ in sets]     # per set: sum of counts, of squared counts
     rng = rng_for(master_seed)
-    step = _chunk_rows(g)
-    total = total_sq = 0
+    step = min(samples, _chunk_rows(g))
+    per = max(1, _chunk_rows(g) // step)     # sets per chunk
     for done in range(0, samples, step):
-        rows = min(step, samples - done)
-        live = _arc_live(g, (rng.random((rows, g.m)) < g.w) & ~dead)
-        counts = reach_counts(g.indptr, g.nbrs, live, arr, rows)
-        total += int(counts.sum())
-        total_sq += int(counts @ counts)
-    mean = total / samples
+        base = rng.random((min(step, samples - done), g.m)) < g.w
+        for lo in range(0, len(sets), per):
+            chunk = sets[lo:lo + per]
+            live = np.repeat(base[None], len(chunk), axis=0)
+            live[np.repeat(np.arange(len(chunk)), [ids.size for ids in chunk]), :,
+                 np.concatenate(chunk)] = False
+            masks = live.shape[0] * live.shape[1]
+            counts = reach_counts(g.indptr, g.nbrs, _arc_live(g, live.reshape(masks, g.m)),
+                                  arr, masks).reshape(len(chunk), -1)
+            for acc, c in zip(sums[lo:lo + per], counts):
+                acc[0] += int(c.sum())
+                acc[1] += int(c @ c)
+    means = [t / samples for t, _ in sums]
     if samples == 1:
-        return mean, 0.0
-    var = (total_sq - total * total / samples) / (samples - 1)
-    if var < 0.0:
-        var = 0.0
-    return mean, math.sqrt(var / samples)
+        return means, [0.0] * len(sets)
+    var = [(q - t * t / samples) / (samples - 1) for t, q in sums]
+    return means, [math.sqrt(max(v, 0.0) / samples) for v in var]
 
 
 def exact_spread_unit_weights(g: Graph, seeds) -> int:

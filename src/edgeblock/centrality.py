@@ -133,11 +133,12 @@ def _betweenness_by_levels(g: Graph) -> np.ndarray:
     sigma; the backward pass walks the levels down, giving each node the
     dependency delta[v] = sigma[v] * sum over children w of
     (1 + delta[w]) / sigma[w].  Edge (v, w) with w one level below v
-    then carries sigma[v] * (1 + delta[w]) / sigma[w].
+    then carries sigma[v] * (1 + delta[w]) / sigma[w].  Batches are sized
+    by n alone, and edge shares are gathered in edge blocks.
     """
     a = adjacency(g, np.ones(2 * g.m))
     bc = np.zeros(g.m)
-    for lo, hi in row_blocks(g.n, max(g.n, g.m)):
+    for lo, hi in row_blocks(g.n, g.n):
         cols = np.arange(hi - lo)
         dist = np.full((g.n, cols.size), -1, dtype=np.int32)
         sigma = np.zeros((g.n, cols.size))
@@ -156,9 +157,11 @@ def _betweenness_by_levels(g: Graph) -> np.ndarray:
             coef = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=dist == d)
             delta += np.where(dist == d - 1, sigma * (a @ coef), 0.0)
         coef = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=dist >= 0)
-        for u, v in ((g.eu, g.ev), (g.ev, g.eu)):
-            below = dist[v] == dist[u] + 1
-            bc += np.einsum("ij,ij->i", np.where(below, sigma[u], 0.0), coef[v])
+        for e_lo, e_hi in row_blocks(g.m, cols.size):
+            eu, ev = g.eu[e_lo:e_hi], g.ev[e_lo:e_hi]
+            for u, v in ((eu, ev), (ev, eu)):
+                below = dist[v] == dist[u] + 1
+                bc[e_lo:e_hi] += np.einsum("ij,ij->i", np.where(below, sigma[u], 0.0), coef[v])
     return bc * 0.5
 
 

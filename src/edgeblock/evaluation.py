@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import strategies as strategies_mod
-from .cascade import estimate_spread, sample_seed_set
+from .cascade import estimate_spread, estimate_spreads, sample_seed_set
 from .community import SweepParams
 from .graph import Graph
 from .seeding import (
@@ -63,16 +64,22 @@ class ExperimentConfig:
     common_random_numbers: bool = True
     sweep: SweepParams = field(default_factory=SweepParams)
     threads: int = 1
-    pagerank_damping: float = 0.85
 
     def __post_init__(self):
         for f in self.budget_fractions:
             if not 0.0 < f <= 1.0:
                 raise ValueError("budget fractions must lie in (0, 1]")
+        if not 0.0 < self.seed_fraction <= 1.0:
+            raise ValueError("seed fraction must lie in (0, 1]")
         if self.seed_set_reps < 1 or self.cascade_reps < 1:
             raise ValueError("repetition counts must be >= 1")
+        if self.threads < 0:
+            raise ValueError("threads must be >= 0 (0 = one per CPU)")
         for s in self.strategies:
             strategies_mod.strategy_code(s)
+        for values in (self.strategies, self.budget_fractions):
+            if len(set(values)) < len(values):
+                raise ValueError(f"duplicate grid entries in {values}")
 
 
 @dataclass(frozen=True)
@@ -111,75 +118,49 @@ def budget_to_edge_count(fraction: float, m: int) -> int:
     return max(0, int(math.floor(fraction * m + 1e-9)))
 
 
-def _blocked_sets(g: Graph, cfg: ExperimentConfig) -> dict:
-    """Blocked edge ids per (strategy, budget fraction), on the original graph."""
-    out = {}
-    for strat in cfg.strategies:
-        if strat == "community":
-            for frac in cfg.budget_fractions:
-                k = budget_to_edge_count(frac, g.m)
-                out[(strat, frac)] = strategies_mod.blocked_edges(
-                    g, strat, k, cfg.master_seed, sweep=cfg.sweep)
-        else:
-            code = strategies_mod.strategy_code(strat)
-            rng = rng_for(cfg.master_seed, strategies_mod.TAG_STRATEGY, code)
-            scores = strategies_mod.score_edges(
-                g, strat, rng=rng, damping=cfg.pagerank_damping)
-            for frac in cfg.budget_fractions:
-                k = budget_to_edge_count(frac, g.m)
-                out[(strat, frac)] = strategies_mod.top_k_edges(scores, k)
-    return out
+def _blocked_sets(g: Graph, cfg: ExperimentConfig) -> list:
+    """Blocked edge ids per grid cell, strategies major, budgets minor."""
+    ks = [budget_to_edge_count(frac, g.m) for frac in cfg.budget_fractions]
+    return [ids for strat in cfg.strategies
+            for ids in strategies_mod.blocked_sets(g, strat, ks, cfg.master_seed, sweep=cfg.sweep)]
 
 
 def run_experiment(g: Graph, cfg: ExperimentConfig) -> ContainmentReport:
     """Full grid: draw seed sets, estimate baseline and post-blocking spread,
-    emit per-cell detail rows and per-(strategy, budget) aggregates."""
+    emit per-cell detail rows and per-(strategy, budget) aggregates.
+
+    Under common random numbers each seed set takes one
+    :func:`estimate_spreads` pass for its baseline and every cell; without
+    them each cell estimates on its own stream.  Worker threads run over
+    seed sets.
+    """
     blocked = _blocked_sets(g, cfg)
-    seed_sets = [
-        sample_seed_set(g, cfg.seed_fraction, rng_for(cfg.master_seed, TAG_SEED_SETS, i))
-        for i in range(cfg.seed_set_reps)
-    ]
+    reps = cfg.seed_set_reps
     # element i: master seed of seed set i's cascade stream
-    streams = replicate_seed_bits(cfg.master_seed, TAG_CASCADE, count=cfg.seed_set_reps)
-    phi_before = [
-        estimate_spread(g, seed_sets[i], cfg.cascade_reps, streams[i])[0]
-        for i in range(cfg.seed_set_reps)
-    ]
+    streams = replicate_seed_bits(cfg.master_seed, TAG_CASCADE, count=reps)
+    indep = [replicate_seed_bits(cfg.master_seed, TAG_CASCADE_INDEP, si, bi, count=reps)
+             for si in range(len(cfg.strategies)) for bi in range(len(cfg.budget_fractions))]
 
-    cells = []
-    for si, strat in enumerate(cfg.strategies):
-        for bi, frac in enumerate(cfg.budget_fractions):
-            for i in range(cfg.seed_set_reps):
-                cells.append((si, strat, bi, frac, i))
-
-    def run_cell(cell):
-        si, strat, bi, frac, i = cell
+    def spreads(i):
+        """phi_before, then phi_after per cell, for seed set i."""
+        seeds = sample_seed_set(g, cfg.seed_fraction, rng_for(cfg.master_seed, TAG_SEED_SETS, i))
         if cfg.common_random_numbers:
-            stream = streams[i]
-        else:
-            stream = replicate_seed_bits(cfg.master_seed, TAG_CASCADE_INDEP, si, bi,
-                                         count=cfg.seed_set_reps)[i]
-        phi_after = estimate_spread(g, seed_sets[i], cfg.cascade_reps, stream,
-                                    blocked=blocked[(strat, frac)])[0]
-        return cell, phi_after
+            return estimate_spreads(g, seeds, cfg.cascade_reps, streams[i], [()] + blocked)[0]
+        return [estimate_spread(g, seeds, cfg.cascade_reps, streams[i])[0]] + [
+            estimate_spread(g, seeds, cfg.cascade_reps, cell[i], blocked=ids)[0]
+            for cell, ids in zip(indep, blocked)]
 
-    workers = cfg.threads
-    if workers == 0:
-        import os
-        workers = os.cpu_count() or 1
-    if workers > 1 and len(cells) > 1:
+    workers = cfg.threads or os.cpu_count() or 1
+    if workers > 1 and reps > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(run_cell, cells))
+            phi = list(pool.map(spreads, range(reps)))
     else:
-        results = dict(map(run_cell, cells))
+        phi = list(map(spreads, range(reps)))
 
-    details = []
-    for cell in cells:
-        si, strat, bi, frac, i = cell
-        pb = phi_before[i]
-        pa = results[cell]
-        details.append(DetailRow(strat, frac, i, pb, pa, containment_factor(pb, pa)))
-
+    cells = [(strat, frac) for strat in cfg.strategies for frac in cfg.budget_fractions]
+    details = [DetailRow(strat, frac, i, phi[i][0], phi[i][c + 1],
+                         containment_factor(phi[i][0], phi[i][c + 1]))
+               for c, (strat, frac) in enumerate(cells) for i in range(reps)]
     report = ContainmentReport(
         network=cfg.network,
         details=tuple(details),

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import SeedSet, _dead_edges, _seed_array, reach_counts
+from .cascade import SeedSet, _edge_ids, _seed_array, reach_counts
 from .generators import connected_graphs_upto_iso
 from .graph import Graph, from_edge_arrays, girth
 
@@ -209,7 +209,9 @@ def white_count_after_blocking(g: Graph, edge_ids, seeds, arcs=None) -> int:
     in :func:`brute_force_edge_blocking`."""
     _require_unit_weights(g)
     indptr, tails, eid = _in_arcs(g, arcs)
-    live = np.packbits(~_dead_edges(g, edge_ids)[:, None], axis=1)[eid]
+    live = np.ones((g.m, 1), dtype=bool)
+    live[_edge_ids(g, edge_ids)] = False
+    live = np.packbits(live, axis=1)[eid]
     return g.n - int(reach_counts(indptr, tails, live, _seed_array(g, seeds), 1)[0])
 
 

@@ -1,12 +1,15 @@
 """Edge-blocking strategies: score-based baselines plus dispatch.
 
-All baselines score every edge once on the original graph and block the
-top-k, ties broken by ascending canonical edge id.  The community strategy
-has no per-edge scores; it delegates to the resolution sweep and is only
-reachable through :func:`blocked_edges`.
+Strategies own their seeding: :func:`blocked_sets` derives every stream
+from the master seed and answers a list of budgets.  A baseline scores
+every edge once on the original graph and blocks the top k per budget, ties
+broken by ascending canonical edge id.  The community strategy has no edge
+scores; it runs one resolution sweep per budget.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -31,29 +34,28 @@ def _endpoint_sum(g: Graph, node_scores: np.ndarray) -> np.ndarray:
     return node_scores[g.eu] + node_scores[g.ev]
 
 
-# scorer registry: token -> f(graph, rng, **params) -> per-edge scores.
+# scorer registry: token -> f(graph, rng) -> per-edge scores.
 # New strategies plug in here; "community" stays out on purpose (it selects
 # an edge set directly instead of ranking).
 _SCORERS = {
-    "rndm": lambda g, rng, **kw: as_rng(rng).random(g.m),
-    "hwt": lambda g, rng, **kw: g.w.astype(np.float64, copy=True),
-    "deg": lambda g, rng, **kw: _endpoint_sum(g, g.degrees.astype(np.float64)),
-    "wdeg": lambda g, rng, **kw: _endpoint_sum(g, g.weighted_degrees),
-    "clo": lambda g, rng, **kw: _endpoint_sum(g, node_closeness(g)),
-    "wclo": lambda g, rng, **kw: _endpoint_sum(g, node_closeness(g, weighted=True)),
-    "bet": lambda g, rng, **kw: edge_betweenness(g),
-    "wbet": lambda g, rng, **kw: edge_betweenness(g, weighted=True),
-    "pgrk": lambda g, rng, damping=0.85, pagerank_tol=1e-10, **kw: _endpoint_sum(
-        g, node_pagerank(g, damping=damping, tol=pagerank_tol)),
+    "rndm": lambda g, rng: as_rng(rng).random(g.m),
+    "hwt": lambda g, rng: g.w.astype(np.float64, copy=True),
+    "deg": lambda g, rng: _endpoint_sum(g, g.degrees.astype(np.float64)),
+    "wdeg": lambda g, rng: _endpoint_sum(g, g.weighted_degrees),
+    "clo": lambda g, rng: _endpoint_sum(g, node_closeness(g)),
+    "wclo": lambda g, rng: _endpoint_sum(g, node_closeness(g, weighted=True)),
+    "bet": lambda g, rng: edge_betweenness(g),
+    "wbet": lambda g, rng: edge_betweenness(g, weighted=True),
+    "pgrk": lambda g, rng: _endpoint_sum(g, node_pagerank(g)),
 }
 
 
-def score_edges(g: Graph, strategy: str, rng=None, **params) -> np.ndarray:
+def score_edges(g: Graph, strategy: str, rng=None) -> np.ndarray:
     """Per-edge scores for a score-based strategy (higher = blocked first)."""
     strategy_code(strategy)
     if strategy == "community":
         raise ValueError("the community strategy has no edge scores; use blocked_edges")
-    return _SCORERS[strategy](g, rng, **params)
+    return _SCORERS[strategy](g, rng)
 
 
 def top_k_edges(scores: np.ndarray, k: int) -> np.ndarray:
@@ -65,28 +67,33 @@ def top_k_edges(scores: np.ndarray, k: int) -> np.ndarray:
     return np.sort(order[: min(k, m)]).astype(np.int64)
 
 
-def select_blocked_edges(g: Graph, strategy: str, k: int, rng=None, **score_kw) -> np.ndarray:
+def select_blocked_edges(g: Graph, strategy: str, k: int, rng=None) -> np.ndarray:
     """Top-k edge ids for a score-based strategy on the original graph."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return top_k_edges(score_edges(g, strategy, rng=rng, **score_kw), k)
+    return top_k_edges(score_edges(g, strategy, rng=rng), k)
 
 
-def blocked_edges(g: Graph, strategy: str, k: int, master_seed: int,
-                  sweep=None, **score_kw) -> np.ndarray:
-    """Blocked edge ids for any strategy, with seeding derived internally.
+def blocked_sets(g: Graph, strategy: str, ks, master_seed: int, sweep=None) -> list:
+    """Blocked edge ids for each budget in ``ks``, seeding derived internally.
 
-    ``sweep`` supplies resolution-sweep parameters for the community
-    strategy (defaults otherwise).
+    A score strategy scores once, on the stream (TAG_STRATEGY, code), and
+    takes the top k for each k.  The community strategy runs one resolution
+    sweep per k with ``sweep``'s parameters (defaults otherwise), seeded
+    from (TAG_SWEEP, k).
     """
     code = strategy_code(strategy)
+    if any(k < 0 for k in ks):
+        raise ValueError("k must be nonnegative")
     if strategy == "community":
         base = sweep if sweep is not None else community_mod.SweepParams()
-        derived = int(seed_sequence(master_seed, TAG_SWEEP, k).generate_state(1)[0])
-        params = community_mod.SweepParams(
-            resolution=base.resolution, factor=base.factor,
-            h1=base.h1, h2=base.h2, budget=k, master_seed=derived,
-        )
-        return community_mod.resolution_sweep(g, params)
-    rng = rng_for(master_seed, TAG_STRATEGY, code)
-    return select_blocked_edges(g, strategy, k, rng=rng, **score_kw)
+        seeds = [int(seed_sequence(master_seed, TAG_SWEEP, k).generate_state(1)[0]) for k in ks]
+        return [community_mod.resolution_sweep(g, replace(base, budget=k, master_seed=s))
+                for k, s in zip(ks, seeds)]
+    scores = score_edges(g, strategy, rng=rng_for(master_seed, TAG_STRATEGY, code))
+    return [top_k_edges(scores, k) for k in ks]
+
+
+def blocked_edges(g: Graph, strategy: str, k: int, master_seed: int, sweep=None) -> np.ndarray:
+    """Blocked edge ids for one budget: see :func:`blocked_sets`."""
+    return blocked_sets(g, strategy, [k], master_seed, sweep)[0]

@@ -11,6 +11,7 @@ from edgeblock.cascade import (
     SeedSet,
     enumerate_spread_exact,
     estimate_spread,
+    estimate_spreads,
     exact_spread_unit_weights,
     run_cascade,
     sample_seed_set,
@@ -18,6 +19,7 @@ from edgeblock.cascade import (
 from edgeblock.generators import gnm_random_graph, with_random_weights
 from edgeblock.graph import from_edge_arrays, remove_edges
 from edgeblock.hardness import expand_to_blocking_instance
+from edgeblock.seeding import rng_for
 from oracle_utils import brute_expected_spread
 
 P3 = from_edge_arrays(3, [0, 1], [1, 2])
@@ -121,6 +123,49 @@ def test_estimate_independent_of_chunking(monkeypatch):
     monkeypatch.setattr(cascade_mod, "_CHUNK_ELEMENTS", 150 * g.m)
     assert 2 * cascade_mod._chunk_rows(g) < 500     # more than two chunks
     assert repr(estimate_spread(g, [1, 2], 500, master_seed=77, blocked=[3, 8])) == repr(whole)
+
+
+def _reference_counts(g, seeds, samples, master_seed, blocked):
+    """Per-replicate reach counts: one scipy BFS per live-edge graph."""
+    live = rng_for(master_seed).random((samples, g.m)) < g.w
+    live[:, np.asarray(blocked, dtype=np.int64)] = False
+    counts = []
+    for row in live:
+        a = csr_matrix((np.ones(row.sum()), (g.eu[row], g.ev[row])), shape=(g.n, g.n))
+        dist = shortest_path(a, directed=False, unweighted=True, indices=seeds)
+        counts.append(int(np.isfinite(dist).any(axis=0).sum()))
+    return np.array(counts)
+
+
+def test_estimate_spreads_share_replicates_across_sets(monkeypatch):
+    g = with_random_weights(gnm_random_graph(15, 30, 4), 4)
+    order = np.random.default_rng(5).permutation(g.m)
+    sets = [(), order[:3], [7], order[:10], order, order[5:12], order[:3]]
+    whole = estimate_spreads(g, [1, 2], 40, 77, sets)
+    for ids, mean, se in zip(sets, *whole):
+        assert estimate_spreads(g, [1, 2], 40, 77, [ids]) == ([mean], [se])
+        assert estimate_spread(g, [1, 2], 40, master_seed=77, blocked=ids) == (mean, se)
+        counts = _reference_counts(g, [1, 2], 40, 77, ids)
+        assert mean == counts.sum() / 40
+        assert se == pytest.approx(counts.std(ddof=1) / np.sqrt(40), rel=1e-12, abs=1e-15)
+    assert whole[0][-1] == whole[0][1] and whole[0][4] == 2.0
+    # rows split (one set per chunk), then whole rows with sets in threes
+    masks = []
+    real = cascade_mod.reach_counts
+
+    def counted(indptr, tails, live, seeds, count):
+        masks.append(count)
+        return real(indptr, tails, live, seeds, count)
+
+    monkeypatch.setattr(cascade_mod, "reach_counts", counted)
+    for rows, calls in ((16, [16, 16, 8] * 7), (120, [120, 120, 40])):
+        monkeypatch.setattr(cascade_mod, "_CHUNK_ELEMENTS", rows * g.m)
+        masks.clear()
+        assert repr(estimate_spreads(g, [1, 2], 40, 77, sets)) == repr(whole)
+        assert sorted(masks) == sorted(calls)
+    assert estimate_spreads(g, [1, 2], 40, 77, []) == ([], [])
+    with pytest.raises(ValueError):
+        estimate_spreads(g, [1, 2], 40, 77, [(), [g.m]])
 
 
 def test_estimate_non_increasing_over_nested_blocked_sets():

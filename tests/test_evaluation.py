@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+from edgeblock import cascade as cascade_mod
+from edgeblock import evaluation as evaluation_mod
+from edgeblock.cascade import estimate_spread, sample_seed_set
+from edgeblock.community import SweepParams
 from edgeblock.evaluation import (
     AGGREGATE_HEADER,
     DETAIL_HEADER,
@@ -17,8 +21,16 @@ from edgeblock.evaluation import (
     run_experiment,
     summarize_report,
 )
-from edgeblock.generators import planted_partition
+from edgeblock.generators import planted_partition, with_random_weights
 from edgeblock.graph import from_edge_arrays
+from edgeblock.seeding import (
+    TAG_CASCADE,
+    TAG_CASCADE_INDEP,
+    TAG_SEED_SETS,
+    replicate_seed_bits,
+    rng_for,
+)
+from edgeblock.strategies import blocked_edges
 
 P3 = from_edge_arrays(3, [0, 1], [1, 2])
 
@@ -46,6 +58,16 @@ def test_config_validation():
         ExperimentConfig(seed_set_reps=0)
     with pytest.raises(ValueError):
         ExperimentConfig(strategies=("nope",))
+    with pytest.raises(ValueError):
+        ExperimentConfig(strategies=("rndm", "deg", "rndm"))
+    with pytest.raises(ValueError):
+        ExperimentConfig(budget_fractions=(0.01, 0.05, 1 / 100))
+    with pytest.raises(ValueError):
+        ExperimentConfig(threads=-1)
+    for bad in (0.0, -0.1, 1.5):
+        with pytest.raises(ValueError):
+            ExperimentConfig(seed_fraction=bad)
+    ExperimentConfig(seed_fraction=1.0, threads=0)
 
 
 def _small_report(**kw):
@@ -129,6 +151,57 @@ def test_common_random_numbers_keep_cf_in_range():
             seed_set_reps=3, cascade_reps=4, master_seed=s))
         assert rep.out_of_range_rows() == ()
         assert all(r.phi_after <= r.phi_before for r in rep.details)
+
+
+def test_grid_matches_per_cell_estimates(monkeypatch):
+    g = with_random_weights(planted_partition(3, 6, 0.7, 0.1, 2), 3)
+    sweep = SweepParams(resolution=0.05, factor=1.2, h1=2, h2=2)
+    cfg = dict(network="t", strategies=("hwt", "community", "rndm"),
+               budget_fractions=(0.05, 0.1, 0.2), seed_fraction=0.1, seed_set_reps=3,
+               cascade_reps=7, master_seed=5, sweep=sweep)
+    seeds = [sample_seed_set(g, 0.1, rng_for(5, TAG_SEED_SETS, i)) for i in range(3)]
+    streams = replicate_seed_bits(5, TAG_CASCADE, count=3)
+    before = [estimate_spread(g, seeds[i], 7, streams[i])[0] for i in range(3)]
+    for crn in (True, False):
+        expected = {}
+        for si, strat in enumerate(cfg["strategies"]):
+            for bi, frac in enumerate(cfg["budget_fractions"]):
+                ids = blocked_edges(g, strat, budget_to_edge_count(frac, g.m), 5, sweep=sweep)
+                indep = replicate_seed_bits(5, TAG_CASCADE_INDEP, si, bi, count=3)
+                for i in range(3):
+                    stream = streams[i] if crn else indep[i]
+                    after = estimate_spread(g, seeds[i], 7, stream, blocked=ids)[0]
+                    expected[(strat, frac, i)] = (before[i], after)
+        # 10 blocked sets of 7 rows per seed set: rows split with one set
+        # per chunk, then whole rows with sets in pairs
+        for rows in (3, 14):
+            monkeypatch.setattr(cascade_mod, "_CHUNK_ELEMENTS", rows * max(g.m, g.n))
+            for threads in (1, 3):
+                rep = run_experiment(g, ExperimentConfig(
+                    **cfg, common_random_numbers=crn, threads=threads))
+                assert expected == {
+                    (r.strategy, r.budget_fraction, r.seed_set_index): (r.phi_before, r.phi_after)
+                    for r in rep.details}
+            monkeypatch.undo()
+
+
+def test_one_estimate_pass_per_seed_set(monkeypatch):
+    calls = []
+    real = evaluation_mod.estimate_spreads
+
+    def counted(g, seeds, samples, master_seed, blocked_sets):
+        calls.append(len(blocked_sets))
+        return real(g, seeds, samples, master_seed, blocked_sets)
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("per-cell estimate under common random numbers")
+
+    monkeypatch.setattr(evaluation_mod, "estimate_spreads", counted)
+    monkeypatch.setattr(evaluation_mod, "estimate_spread", unexpected)
+    for threads in (1, 3):
+        calls.clear()
+        _small_report(seed_set_reps=4, threads=threads)
+        assert calls == [1 + 2 * 3] * 4
 
 
 def test_csv_export_and_roundtrip(tmp_path):

@@ -1,13 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from edgeblock.community import SweepParams
+from edgeblock.community import SweepParams, resolution_sweep
 from edgeblock.generators import gnm_random_graph, planted_partition, with_random_weights
 from edgeblock.graph import assign_jaccard_weights, from_edge_arrays, parse_edge_list
+from edgeblock.seeding import TAG_STRATEGY, TAG_SWEEP, rng_for, seed_sequence
 from edgeblock.strategies import (
     SCORE_STRATEGIES,
     STRATEGIES,
     blocked_edges,
+    blocked_sets,
     score_edges,
     select_blocked_edges,
     strategy_code,
@@ -126,6 +130,28 @@ def test_blocked_edges_dispatch():
     assert np.array_equal(comm, blocked_edges(
         g, "community", 6, master_seed=10,
         sweep=SweepParams(resolution=0.05, factor=1.2, h1=2, h2=2)))
+
+
+def test_blocked_sets_match_single_budget_calls():
+    # a graph whose community sweeps depend on their seed
+    g = assign_jaccard_weights(gnm_random_graph(20, 45, 4))
+    sweep = SweepParams(resolution=0.05, factor=1.2, h1=2, h2=2)
+    ks = [0, 3, 11, 16, 16, 22, g.m + 2]
+    for strat in STRATEGIES:
+        sets = blocked_sets(g, strat, ks, 10, sweep=sweep)
+        assert len(sets) == len(ks)
+        for k, ids in zip(ks, sets):
+            assert np.array_equal(ids, blocked_edges(g, strat, k, 10, sweep=sweep))
+            if strat == "community":
+                seed = int(seed_sequence(10, TAG_SWEEP, k).generate_state(1)[0])
+                ref = resolution_sweep(g, replace(sweep, budget=k, master_seed=seed))
+            else:
+                rng = rng_for(10, TAG_STRATEGY, strategy_code(strat))
+                ref = top_k_edges(score_edges(g, strat, rng=rng), k)
+            assert np.array_equal(ids, ref)
+    for strat in ("deg", "community"):
+        with pytest.raises(ValueError):
+            blocked_sets(g, strat, [2, -1], 10, sweep=sweep)
 
 
 def test_deterministic_for_fixed_strategy_and_seed():
