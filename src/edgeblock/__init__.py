@@ -37,7 +37,6 @@ from .evaluation import (
     ExperimentConfig,
     containment_factor,
     export_csv,
-    export_report,
     export_svg,
     run_experiment,
     summarize_report,
@@ -45,10 +44,8 @@ from .evaluation import (
 from .graph import (
     Graph,
     GraphStats,
-    LoadReport,
     ParseError,
     assign_jaccard_weights,
-    edge_distance,
     from_edge_arrays,
     girth,
     graph_stats,
@@ -72,5 +69,4 @@ from .strategies import (
     blocked_edges,
     blocked_sets,
     score_edges,
-    select_blocked_edges,
 )

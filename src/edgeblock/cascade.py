@@ -50,12 +50,6 @@ class Coloring:
 
     states: np.ndarray
 
-    @classmethod
-    def initial(cls, n: int, seeds) -> "Coloring":
-        states = np.zeros(n, dtype=np.uint8)
-        states[np.asarray(list(seeds), dtype=np.int64)] = RED
-        return cls(states)
-
     def count(self, state: int) -> int:
         return int(np.count_nonzero(self.states == state))
 

@@ -9,6 +9,10 @@ import numpy as np
 
 from .graph import Graph, adjacency, distance_stats, row_blocks
 
+PAGERANK_DAMPING = 0.85
+PAGERANK_TOL = 1e-10         # L1 step that ends the power iteration
+PAGERANK_MAX_ITER = 10_000
+
 
 class ConvergenceError(RuntimeError):
     """Iteration cap reached; carries the last residual."""
@@ -19,16 +23,13 @@ class ConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
-def node_pagerank(g: Graph, damping: float = 0.85, tol: float = 1e-10, max_iter: int = 10000) -> np.ndarray:
+def node_pagerank(g: Graph) -> np.ndarray:
     """PageRank by power iteration on the unweighted structure.
 
     Degree-zero nodes redistribute their mass uniformly, so the vector sums
-    to 1.  Stops when the L1 step falls below tol.
+    to 1.  Damping is PAGERANK_DAMPING; stops when the L1 step falls below
+    PAGERANK_TOL, and raises after PAGERANK_MAX_ITER steps.
     """
-    if not 0.0 < damping < 1.0:
-        raise ValueError("damping must lie in (0, 1)")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     n = g.n
     if n == 0:
         return np.zeros(0)
@@ -37,16 +38,16 @@ def node_pagerank(g: Graph, damping: float = 0.85, tol: float = 1e-10, max_iter:
     # column-stochastic transition: y[u] = sum over neighbors v of x[v]/d(v)
     trans = adjacency(g, 1.0 / deg[g.nbrs])
     x = np.full(n, 1.0 / n)
-    teleport = (1.0 - damping) / n
+    teleport = (1.0 - PAGERANK_DAMPING) / n
     residual = np.inf
-    for it in range(max_iter):
+    for _ in range(PAGERANK_MAX_ITER):
         mass = x[dangling].sum()
-        x_new = damping * (trans @ x + mass / n) + teleport
+        x_new = PAGERANK_DAMPING * (trans @ x + mass / n) + teleport
         residual = float(np.abs(x_new - x).sum())
         x = x_new
-        if residual < tol:
+        if residual < PAGERANK_TOL:
             return x
-    raise ConvergenceError("pagerank did not converge", residual, max_iter)
+    raise ConvergenceError("pagerank did not converge", residual, PAGERANK_MAX_ITER)
 
 
 def node_closeness(g: Graph, weighted: bool = False) -> np.ndarray:

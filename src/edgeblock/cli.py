@@ -1,15 +1,16 @@
 """Command-line front end.
 
 Subcommands: stats, weights, simulate, block, evaluate, hardness.
-Exit codes: 0 success, 1 usage error, 2 runtime error, 3 a `hardness
-verify` check failed (printed as FAIL).  All randomness
-flows from --seed (default 42, never wall clock), so identical invocations
-produce byte-identical outputs.
+Exit codes: 0 success, 1 usage error (bad flags, found before the graph
+is read), 2 runtime error, 3 a `hardness verify` check failed (printed as
+FAIL).  All randomness flows from --seed (default 42, never wall clock),
+so identical invocations produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from pathlib import Path
@@ -50,6 +51,15 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+@contextlib.contextmanager
+def _flag_errors():
+    """Report a ValueError raised while checking flags as a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _add_graph_arg(p, weights_default="jaccard"):
@@ -197,6 +207,10 @@ def _cmd_weights(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.samples < 1:
+        raise UsageError("--samples must be >= 1")
+    if not 0.0 < args.seed_fraction <= 1.0:
+        raise UsageError("--seed-fraction must lie in (0, 1]")
     g = _load_graph(args)
     if args.seed_nodes is not None:
         keys = [label_of_token(t.strip()) for t in args.seed_nodes.split(",")]
@@ -213,11 +227,17 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_block(args) -> int:
-    g = _load_graph(args)
     if (args.k is None) == (args.budget_frac is None):
         raise UsageError("give exactly one of --k or --budget-frac")
+    if args.k is not None and args.k < 0:
+        raise UsageError("--k must be >= 0")
+    if args.budget_frac is not None and not 0.0 <= args.budget_frac <= 1.0:
+        raise UsageError("--budget-frac must lie in [0, 1]")
+    with _flag_errors():
+        sweep = _sweep_from_args(args)
+    g = _load_graph(args)
     k = args.k if args.k is not None else budget_to_edge_count(args.budget_frac, g.m)
-    ids = blocked_edges(g, args.strategy, k, args.seed, sweep=_sweep_from_args(args))
+    ids = blocked_edges(g, args.strategy, k, args.seed, sweep=sweep)
     lines = [f"{g.label_of(int(g.eu[e]))} {g.label_of(int(g.ev[e]))}" for e in ids]
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
@@ -229,20 +249,21 @@ def _cmd_block(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    g = _load_graph(args)
     network = args.network or Path(args.graph).name.split(".")[0]
-    cfg = ExperimentConfig(
-        network=network,
-        strategies=tuple(t.strip() for t in args.strategies.split(",") if t.strip()),
-        budget_fractions=_parse_budgets(args.budgets),
-        seed_fraction=args.seed_fraction,
-        seed_set_reps=args.seed_sets,
-        cascade_reps=args.cascades,
-        master_seed=args.seed,
-        common_random_numbers=not args.no_crn,
-        sweep=_sweep_from_args(args),
-        threads=args.threads,
-    )
+    with _flag_errors():
+        cfg = ExperimentConfig(
+            network=network,
+            strategies=tuple(t.strip() for t in args.strategies.split(",") if t.strip()),
+            budget_fractions=_parse_budgets(args.budgets),
+            seed_fraction=args.seed_fraction,
+            seed_set_reps=args.seed_sets,
+            cascade_reps=args.cascades,
+            master_seed=args.seed,
+            common_random_numbers=not args.no_crn,
+            sweep=_sweep_from_args(args),
+            threads=args.threads,
+        )
+    g = _load_graph(args)
     report = run_experiment(g, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -267,7 +288,10 @@ def _print_check(check) -> None:
 
 
 def _cmd_hardness(args) -> int:
-    ran = False
+    if args.graph is None and args.sweep_all_small is None:
+        raise UsageError("give --graph with --k, or --sweep-all-small N")
+    if args.graph is not None and (args.k is None or args.k < 1):
+        raise UsageError("--graph needs --k >= 1")
     failed = 0
     if args.sweep_all_small is not None:
         checks = sweep_small_instances(args.sweep_all_small, args.construction)
@@ -275,17 +299,11 @@ def _cmd_hardness(args) -> int:
             _print_check(c)
         failed += sum(1 for c in checks if not c.passed)
         print(f"{len(checks)} checks, {failed} failures")
-        ran = True
     if args.graph is not None:
-        if args.k is None:
-            raise UsageError("--k is required with --graph")
         h = parse_edge_list(args.graph)
         check = verify_reduction(h, args.k, args.construction)
         _print_check(check)
         failed += 0 if check.passed else 1
-        ran = True
-    if not ran:
-        raise UsageError("give --graph with --k, or --sweep-all-small N")
     return EXIT_CHECK_FAILED if failed else 0
 
 

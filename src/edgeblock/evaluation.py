@@ -43,6 +43,8 @@ from .seeding import (
 log = logging.getLogger(__name__)
 
 DEFAULT_BUDGET_FRACTIONS = tuple(i / 100.0 for i in range(1, 21))
+# rounding allowance when flagging cf values outside [0, 100]
+_CF_SLACK = 1e-9
 
 
 def containment_factor(phi_before: float, phi_after: float) -> float:
@@ -78,8 +80,14 @@ class ExperimentConfig:
         for s in self.strategies:
             strategies_mod.strategy_code(s)
         for values in (self.strategies, self.budget_fractions):
+            if not values:
+                raise ValueError("the grid needs at least one strategy and one budget")
             if len(set(values)) < len(values):
                 raise ValueError(f"duplicate grid entries in {values}")
+        unset = SweepParams()
+        if (self.sweep.budget, self.sweep.master_seed) != (unset.budget, unset.master_seed):
+            raise ValueError("the grid sets each sweep's budget and master_seed; "
+                             "leave them at their defaults")
 
 
 @dataclass(frozen=True)
@@ -108,9 +116,9 @@ class ContainmentReport:
     aggregates: tuple
     config: ExperimentConfig
 
-    def out_of_range_rows(self, slack: float = 1e-9) -> tuple:
+    def out_of_range_rows(self) -> tuple:
         """Monte Carlo cf values outside [0, 100]; reported raw, not clamped."""
-        return tuple(r for r in self.details if r.cf < -slack or r.cf > 100.0 + slack)
+        return tuple(r for r in self.details if r.cf < -_CF_SLACK or r.cf > 100.0 + _CF_SLACK)
 
 
 def budget_to_edge_count(fraction: float, m: int) -> int:
@@ -175,8 +183,6 @@ def run_experiment(g: Graph, cfg: ExperimentConfig) -> ContainmentReport:
 
 def summarize_report(details) -> list:
     """Per-(strategy, budget) mean and sample std (n-1; zero for one row)."""
-    if hasattr(details, "details"):
-        details = details.details
     if not details:
         raise ValueError("report has no detail rows")
     groups: dict = {}
@@ -291,27 +297,6 @@ def export_svg(report: ContainmentReport, path) -> None:
         )
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")
-
-
-def export_report(report: ContainmentReport, fmt: str, sink) -> None:
-    """Dispatch on format: 'csv' writes <sink>/<network>_{details,aggregates}.csv,
-    'svg' writes <sink>/<network>_cf.svg (or to the exact path given a file)."""
-    if fmt == "csv":
-        base = Path(sink)
-        if base.suffix:
-            raise ValueError("csv export expects a directory sink")
-        base.mkdir(parents=True, exist_ok=True)
-        export_csv(report,
-                   base / f"{report.network}_details.csv",
-                   base / f"{report.network}_aggregates.csv")
-    elif fmt == "svg-plot" or fmt == "svg":
-        p = Path(sink)
-        if not p.suffix:
-            p.mkdir(parents=True, exist_ok=True)
-            p = p / f"{report.network}_cf.svg"
-        export_svg(report, p)
-    else:
-        raise ValueError(f"unknown export format {fmt!r}")
 
 
 def load_aggregate_csv(path):

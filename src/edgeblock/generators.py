@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from itertools import permutations
+import functools
+from itertools import combinations, permutations
 
 import numpy as np
 
-from .graph import Graph, from_edge_arrays
+from .graph import Graph, from_edge_arrays, is_connected
 from .seeding import as_rng
 
 
@@ -64,35 +65,9 @@ def with_random_weights(g: Graph, rng) -> Graph:
 # ---------------------------------------------------------------------------
 
 _MAX_ENUM_NODES = 6
-_iso_cache: dict[int, list[Graph]] = {}
 
 
-def _edge_index_table(n):
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    lookup = {p: e for e, p in enumerate(pairs)}
-    return pairs, lookup
-
-
-def _connected_mask(mask, n, pairs):
-    adj = [[] for _ in range(n)]
-    for e, (i, j) in enumerate(pairs):
-        if (mask >> e) & 1:
-            adj[i].append(j)
-            adj[j].append(i)
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    cnt = 1
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                cnt += 1
-                stack.append(v)
-    return cnt == n
-
-
+@functools.cache
 def connected_graphs_upto_iso(n: int) -> list[Graph]:
     """All connected graphs on n nodes, one per isomorphism class.
 
@@ -102,14 +77,8 @@ def connected_graphs_upto_iso(n: int) -> list[Graph]:
     """
     if not 1 <= n <= _MAX_ENUM_NODES:
         raise ValueError(f"enumeration supports 1 <= n <= {_MAX_ENUM_NODES}")
-    if n in _iso_cache:
-        return _iso_cache[n]
-    if n == 1:
-        out = [from_edge_arrays(1, [], [])]
-        _iso_cache[n] = out
-        return out
-
-    pairs, lookup = _edge_index_table(n)
+    pairs = list(combinations(range(n), 2))
+    lookup = {p: e for e, p in enumerate(pairs)}
     ecount = len(pairs)
     masks = np.arange(1 << ecount, dtype=np.int64)
     canon = masks.copy()
@@ -121,13 +90,8 @@ def connected_graphs_upto_iso(n: int) -> list[Graph]:
             mapped |= ((masks >> e) & 1) << target
         np.minimum(canon, mapped, out=canon)
 
-    reps = np.unique(canon)
-    out = []
-    for mask in reps.tolist():
-        if not _connected_mask(mask, n, pairs):
-            continue
-        eu = [pairs[e][0] for e in range(ecount) if (mask >> e) & 1]
-        ev = [pairs[e][1] for e in range(ecount) if (mask >> e) & 1]
-        out.append(from_edge_arrays(n, np.array(eu, dtype=np.int64), np.array(ev, dtype=np.int64)))
-    _iso_cache[n] = out
-    return out
+    # one row per isomorphism class: which pairs are edges
+    present = (np.unique(canon)[:, None] >> np.arange(ecount)) & 1 == 1
+    ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    graphs = [from_edge_arrays(n, ends[row, 0], ends[row, 1]) for row in present]
+    return [g for g in graphs if is_connected(g)]

@@ -178,13 +178,6 @@ def from_edge_arrays(n, eu, ev, w=None, labels=None) -> Graph:
 # ingestion / serialization
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LoadReport:
-    duplicate_edges: int = 0
-    self_loops: int = 0
-    comment_lines: int = 0
-
-
 def _open_text(source):
     if isinstance(source, (str, Path)):
         p = Path(source)
@@ -206,17 +199,17 @@ def label_of_token(token: str):
     return int(token) if token.lstrip("-").isdigit() else token
 
 
-def parse_edge_list(source, return_report=False):
+def parse_edge_list(source) -> Graph:
     """Parse a whitespace-separated edge list into a Graph.
 
     Lines starting with '#' or '%' are comments.  Each data line holds two
     node tokens and optionally a weight in (0, 1]; without a weight column
     all weights are 1.  Duplicate (including reversed) edges and self-loops
-    are dropped and counted.  Node ids may be arbitrary integers or strings;
-    dense internal ids follow first appearance and original ids are kept as
-    labels.
+    are dropped; their counts go to one INFO line of this module's logger.
+    Node ids may be arbitrary integers or strings; dense internal ids
+    follow first appearance and original ids are kept as labels.
     """
-    report = LoadReport()
+    self_loops = duplicate_edges = 0
     node_index: dict[str, int] = {}
     tokens_in_order: list[str] = []
     seen_pairs: set[tuple[int, int]] = set()
@@ -231,7 +224,6 @@ def parse_edge_list(source, return_report=False):
             if not line:
                 continue
             if line[0] in "#%":
-                report.comment_lines += 1
                 continue
             parts = line.split()
             if len(parts) not in (2, 3):
@@ -252,11 +244,11 @@ def parse_edge_list(source, return_report=False):
                     tokens_in_order.append(tok)
             iu, iv = node_index[ua], node_index[va]
             if iu == iv:
-                report.self_loops += 1
+                self_loops += 1
                 continue
             key = (iu, iv) if iu < iv else (iv, iu)
             if key in seen_pairs:
-                report.duplicate_edges += 1
+                duplicate_edges += 1
                 continue
             seen_pairs.add(key)
             us.append(iu)
@@ -265,21 +257,17 @@ def parse_edge_list(source, return_report=False):
 
     if not tokens_in_order:
         raise ParseError("empty edge list")
-    if report.self_loops or report.duplicate_edges:
-        log.info(
-            "dropped %d self-loop(s) and %d duplicate edge(s)",
-            report.self_loops, report.duplicate_edges,
-        )
+    if self_loops or duplicate_edges:
+        log.info("dropped %d self-loop(s) and %d duplicate edge(s)", self_loops, duplicate_edges)
 
     labels: tuple = tuple(label_of_token(t) for t in tokens_in_order)
-    g = from_edge_arrays(
+    return from_edge_arrays(
         len(tokens_in_order),
         np.array(us, dtype=np.int64),
         np.array(vs, dtype=np.int64),
         np.array(ws) if any_weight else None,
         labels=labels,
     )
-    return (g, report) if return_report else g
 
 
 def _format_weight(w: float) -> str:
@@ -359,6 +347,14 @@ def distance_stats(g: Graph, lengths=None):
     return reach, sumd, ecc
 
 
+def is_connected(g: Graph) -> bool:
+    """Whether g has at most one connected component."""
+    from scipy.sparse import csgraph
+
+    a = adjacency(g, np.ones(2 * g.m))
+    return csgraph.connected_components(a, directed=False, return_labels=False) <= 1
+
+
 def assign_jaccard_weights(g: Graph) -> Graph:
     """Reweight every edge (u, v) by |N̂(u) ∩ N̂(v)| / |N(u) ∪ N(v)|.
 
@@ -372,13 +368,6 @@ def assign_jaccard_weights(g: Graph) -> Graph:
     numer = common + 2
     denom = deg[g.eu] + deg[g.ev] - common
     return g.with_weights(numer / denom)
-
-
-def edge_distance(g: Graph, e: int) -> float:
-    """Distance form of an edge weight: 1 - weight, in [0, 1)."""
-    if not 0 <= e < g.m:
-        raise ValueError(f"edge id {e} out of range [0, {g.m})")
-    return float(1.0 - g.w[e])
 
 
 @dataclass(frozen=True)

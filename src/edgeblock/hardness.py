@@ -40,7 +40,7 @@ import numpy as np
 
 from .cascade import SeedSet, _edge_ids, _seed_array, reach_counts
 from .generators import connected_graphs_upto_iso
-from .graph import Graph, from_edge_arrays, girth
+from .graph import Graph, from_edge_arrays, girth, is_connected
 
 _MAX_DS_NODES = 18
 _MAX_BLOCKING_SUBSETS = 5_000_000
@@ -76,8 +76,7 @@ def expand_to_blocking_instance(h: Graph, construction: str = "undirected") -> B
     _check_construction(construction)
     if h.n == 0:
         raise ValueError("empty source graph")
-    all_live = np.full((h.nbrs.size, 1), 0xFF, dtype=np.uint8)
-    if reach_counts(h.indptr, h.nbrs, all_live, np.zeros(1, dtype=np.int64), 1)[0] != h.n:
+    if not is_connected(h):
         raise ValueError("source graph must be connected")
     n, m = h.n, h.m
     hub = n + m

@@ -67,13 +67,6 @@ def top_k_edges(scores: np.ndarray, k: int) -> np.ndarray:
     return np.sort(order[: min(k, m)]).astype(np.int64)
 
 
-def select_blocked_edges(g: Graph, strategy: str, k: int, rng=None) -> np.ndarray:
-    """Top-k edge ids for a score-based strategy on the original graph."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return top_k_edges(score_edges(g, strategy, rng=rng), k)
-
-
 def blocked_sets(g: Graph, strategy: str, ks, master_seed: int, sweep=None) -> list:
     """Blocked edge ids for each budget in ``ks``, seeding derived internally.
 

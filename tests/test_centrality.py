@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from edgeblock import centrality as centrality_mod
 from edgeblock.centrality import (
     ConvergenceError,
     edge_betweenness,
@@ -94,7 +95,7 @@ def test_pagerank_symmetry_and_trivials():
 
 def test_pagerank_star_and_dense_oracle():
     star = from_edge_arrays(4, [0, 0, 0], [1, 2, 3])
-    pr = node_pagerank(star, damping=0.85)
+    pr = node_pagerank(star)
     assert pr[0] > pr[1]
     assert abs(pr.sum() - 1.0) < 1e-9
     assert np.allclose(pr, dense_pagerank(star, 0.85), atol=1e-8)
@@ -108,14 +109,12 @@ def test_pagerank_random_graphs():
         assert np.allclose(pr, dense_pagerank(g), atol=1e-8)
 
 
-def test_pagerank_parameter_validation():
-    with pytest.raises(ValueError):
-        node_pagerank(K3, damping=1.0)
-    with pytest.raises(ValueError):
-        node_pagerank(K3, tol=0.0)
+def test_pagerank_iteration_cap(monkeypatch):
+    monkeypatch.setattr(centrality_mod, "PAGERANK_MAX_ITER", 1)
     with pytest.raises(ConvergenceError) as err:
-        node_pagerank(gnm_random_graph(30, 80, 1), max_iter=1)
+        node_pagerank(gnm_random_graph(30, 80, 1))
     assert err.value.residual > 0
+    assert err.value.iterations == 1
 
 
 def test_betweenness_trivials():

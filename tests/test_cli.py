@@ -150,10 +150,23 @@ def test_hardness_requires_args(capsys):
     assert dispatch(["hardness", "verify"]) == 1
 
 
-def test_usage_and_runtime_errors(capsys):
+def test_usage_and_runtime_errors(tmp_path, capsys):
     assert dispatch(["nonsense"]) == 1
     assert dispatch(["stats", "--graph", "/does/not/exist"]) == 2
     assert dispatch(["stats", "--graph", __file__, "--bogus-flag"]) == 1
+    # invalid flags are usage errors, found before the (missing) graph is read
+    missing = ["--graph", "/does/not/exist"]
+    evaluate = ["evaluate", *missing, "--out", str(tmp_path / "out")]
+    for bad in (["--threads", "-1"], ["--strategies", "rndm,rndm"], ["--strategies", "nope"],
+                ["--strategies", ","], ["--seed-sets", "0"], ["--budgets", "5..3"],
+                ["--budgets", "1%..5"]):
+        assert dispatch(evaluate + bad) == 1, bad
+    for bad in (["--k", "-1"], ["--k", "2", "--h1", "0"], ["--budget-frac", "2"]):
+        assert dispatch(["block", *missing, "--strategy", "deg", *bad]) == 1, bad
+    for bad in (["--samples", "0"], ["--seed-fraction", "0"]):
+        assert dispatch(["simulate", *missing, *bad]) == 1, bad
+    assert dispatch(["hardness", "verify", *missing, "--k", "0"]) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_help_exits_zero(capsys):

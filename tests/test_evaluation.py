@@ -15,7 +15,6 @@ from edgeblock.evaluation import (
     budget_to_edge_count,
     containment_factor,
     export_csv,
-    export_report,
     export_svg,
     load_aggregate_csv,
     run_experiment,
@@ -64,6 +63,14 @@ def test_config_validation():
         ExperimentConfig(budget_fractions=(0.01, 0.05, 1 / 100))
     with pytest.raises(ValueError):
         ExperimentConfig(threads=-1)
+    for empty in (dict(strategies=()), dict(budget_fractions=())):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**empty)
+    for preset in (SweepParams(budget=5), SweepParams(master_seed=9),
+                   SweepParams(budget=5, master_seed=9)):
+        with pytest.raises(ValueError):
+            ExperimentConfig(sweep=preset)
+    ExperimentConfig(sweep=SweepParams(resolution=0.05, h1=2))
     for bad in (0.0, -0.1, 1.5):
         with pytest.raises(ValueError):
             ExperimentConfig(seed_fraction=bad)
@@ -235,17 +242,6 @@ def test_svg_polyline_per_strategy(tmp_path):
     assert text.count("<polyline") == 1
     points = text.split('points="')[1].split('"')[0].split()
     assert len(points) == 20
-
-
-def test_export_report_dispatch(tmp_path):
-    _, rep = _small_report()
-    export_report(rep, "csv", tmp_path)
-    assert (tmp_path / "t_details.csv").exists()
-    assert (tmp_path / "t_aggregates.csv").exists()
-    export_report(rep, "svg-plot", tmp_path)
-    assert (tmp_path / "t_cf.svg").exists()
-    with pytest.raises(ValueError):
-        export_report(rep, "xml", tmp_path)
 
 
 def test_community_strategy_in_grid():

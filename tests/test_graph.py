@@ -11,7 +11,6 @@ from edgeblock.generators import gnm_random_graph, with_random_weights
 from edgeblock.graph import (
     ParseError,
     assign_jaccard_weights,
-    edge_distance,
     edge_ids_for_pairs,
     from_edge_arrays,
     girth,
@@ -32,11 +31,11 @@ def test_parse_two_edge_path():
     assert (g.n, g.m) == (3, 2)
 
 
-def test_parse_dedup_and_self_loop():
-    g, report = parse_edge_list(b"0 1\n1 0\n0 0", return_report=True)
+def test_parse_dedup_and_self_loop(caplog):
+    with caplog.at_level("INFO", logger="edgeblock.graph"):
+        g = parse_edge_list(b"0 1\n1 0\n0 0")
     assert (g.n, g.m) == (2, 1)
-    assert report.duplicate_edges == 1
-    assert report.self_loops == 1
+    assert "dropped 1 self-loop(s) and 1 duplicate edge(s)" in caplog.text
 
 
 def test_parse_comments_and_string_labels():
@@ -133,16 +132,6 @@ def test_jaccard_matches_definition_random():
 def test_jaccard_requires_edges():
     with pytest.raises(ValueError):
         assign_jaccard_weights(from_edge_arrays(3, [], []))
-
-
-def test_edge_distance():
-    g = P3.with_weights(np.array([1.0, 2 / 3]))
-    assert edge_distance(g, 0) == 0.0
-    assert edge_distance(g, 1) == pytest.approx(1 / 3)
-    half = P3.with_weights(np.array([0.5, 0.5]))
-    assert edge_distance(half, 0) == 0.5
-    with pytest.raises(ValueError):
-        edge_distance(g, 9)
 
 
 def test_stats_trivials():

@@ -1,6 +1,9 @@
 """``import edgeblock`` in a fresh interpreter stays light: scipy's graph
-and dense linear-algebra modules load on first use, numba never."""
+and dense linear-algebra modules load on first use, numba never.  The
+benchmark's checked probes name functions that still exist."""
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -33,3 +36,16 @@ def test_import_loads_no_heavy_modules():
     assert got["numba"] is False
     for name in ("numba", "scipy.sparse.csgraph", "scipy.linalg"):
         assert not any(m == name or m.startswith(name + ".") for m in got["modules"]), name
+
+
+def test_checked_benchmark_probes_exist():
+    # a checked probe on a removed function would be listed as absent, and
+    # the benchmark check it feeds would silently stop running
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    checked = [(mod, fn) for mod, fn, *_, is_checked in tracing.PROBES if is_checked]
+    assert checked
+    for mod, fn in checked:
+        assert callable(getattr(importlib.import_module(f"edgeblock.{mod}"), fn, None)), (mod, fn)

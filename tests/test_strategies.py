@@ -13,7 +13,6 @@ from edgeblock.strategies import (
     blocked_edges,
     blocked_sets,
     score_edges,
-    select_blocked_edges,
     strategy_code,
     top_k_edges,
 )
@@ -35,7 +34,7 @@ def test_hwt_scores_on_jaccard_path():
 
 
 def test_hwt_tie_break_canonical():
-    assert select_blocked_edges(P4, "hwt", 1).tolist() == [0]
+    assert blocked_edges(P4, "hwt", 1, master_seed=0).tolist() == [0]
 
 
 def test_deg_star_scores():
@@ -83,14 +82,14 @@ def test_scores_finite_and_positive_where_promised():
 
 def test_select_sizes_and_bounds():
     g = gnm_random_graph(10, 18, 2)
-    assert select_blocked_edges(g, "deg", 0).size == 0
-    assert select_blocked_edges(g, "deg", g.m).size == g.m
-    assert select_blocked_edges(g, "deg", g.m + 5).tolist() == list(range(g.m))
-    picked = select_blocked_edges(g, "deg", 7)
+    assert blocked_edges(g, "deg", 0, master_seed=0).size == 0
+    assert blocked_edges(g, "deg", g.m, master_seed=0).size == g.m
+    assert blocked_edges(g, "deg", g.m + 5, master_seed=0).tolist() == list(range(g.m))
+    picked = blocked_edges(g, "deg", 7, master_seed=0)
     assert picked.size == 7
     assert np.all((picked >= 0) & (picked < g.m))
     with pytest.raises(ValueError):
-        select_blocked_edges(g, "deg", -1)
+        blocked_edges(g, "deg", -1, master_seed=0)
 
 
 def test_top_k_scale_invariance():
@@ -114,8 +113,9 @@ def test_community_rejected_by_score_paths():
     g = gnm_random_graph(8, 12, 1)
     with pytest.raises(ValueError):
         score_edges(g, "community", rng=1)
-    with pytest.raises(ValueError):
-        select_blocked_edges(g, "community", 2, rng=1)
+    # blocked_edges is the entry point that takes the community strategy
+    sweep = SweepParams(resolution=0.05, factor=1.2, h1=2, h2=2)
+    assert blocked_edges(g, "community", 2, master_seed=1, sweep=sweep).size <= 2
 
 
 def test_blocked_edges_dispatch():
