@@ -12,7 +12,7 @@ live, independently, with probability equal to their weight (the live-edge
 view of Kempe, Kleinberg & Tardos, KDD 2003); a node turns red in the round
 equal to its live hop distance from the seeds.  Every spread computation
 here is therefore one primitive, :func:`reach_sweeps`: reachability over a
-batch of live-edge masks, one bit per mask.
+batch of live-edge masks, bool[m, masks], that only it packs to bits.
 
 Monte Carlo replicate r is row r of an R x m block of uniforms drawn from
 ``rng_for(master_seed)``, one per canonical edge id; edge e is live when
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, checked_edge_ids
 from .seeding import as_rng, rng_for
 
 WHITE = 0
@@ -66,8 +66,7 @@ class SeedSet:
 
     @classmethod
     def of(cls, nodes) -> "SeedSet":
-        arr = np.unique(np.asarray(list(nodes), dtype=np.int64))
-        return cls(arr)
+        return cls(np.unique(np.asarray(list(nodes), dtype=np.int64)))
 
     @property
     def size(self) -> int:
@@ -83,61 +82,65 @@ class CascadeOutcome:
 
 
 def _seed_array(g: Graph, seeds) -> np.ndarray:
-    if isinstance(seeds, SeedSet):
-        arr = seeds.nodes
-    else:
-        arr = np.unique(np.asarray(list(seeds), dtype=np.int64))
+    arr = (seeds if isinstance(seeds, SeedSet) else SeedSet.of(seeds)).nodes
     if arr.size and (arr[0] < 0 or arr[-1] >= g.n):
         raise ValueError("seed node out of range")
     return arr
 
 
-def _edge_ids(g: Graph, blocked) -> np.ndarray:
-    ids = np.asarray(blocked, dtype=np.int64).reshape(-1)
-    if ids.size and (ids.min() < 0 or ids.max() >= g.m):
-        raise ValueError(f"edge id out of range [0, {g.m})")
-    return ids
+def _in_arcs(g: Graph, arcs=None):
+    """Arcs grouped by head, ``(indptr, tails, edge ids)``: the arcs into
+    node v are ``indptr[v]:indptr[v + 1]``.  Every edge conducts both ways
+    when ``arcs`` is None (g's own CSR, whose row v lists the arcs into v);
+    otherwise edge e is the single arc ``arcs[e, 0] -> arcs[e, 1]``."""
+    if arcs is None:
+        return g.indptr, g.nbrs, g.adj_eid
+    arcs = np.asarray(arcs, dtype=np.int64)
+    if arcs.shape != (g.m, 2):
+        raise ValueError("arcs must hold one (tail, head) pair per edge")
+    if not np.array_equal(np.sort(arcs, axis=1), np.stack([g.eu, g.ev], axis=1)):
+        raise ValueError("arcs must orient the graph's own edges, in edge-id order")
+    order = np.argsort(arcs[:, 1], kind="stable")
+    indptr = np.searchsorted(arcs[order, 1], np.arange(g.n + 1))
+    return indptr, arcs[order, 0], order
 
 
-def reach_sweeps(indptr, tails, live, seeds):
+def reach_sweeps(g: Graph, live: np.ndarray, seeds, arcs=None):
     """Reachability from ``seeds`` over a batch of live-edge masks.
 
-    Arcs are grouped by head: the arcs into node v are
-    ``indptr[v]:indptr[v + 1]``, ``tails`` holds their tails, and byte row
-    ``live[a]`` holds bit j set when arc a is live in mask j.  An undirected
-    graph's CSR already has this form (row v lists the arcs into v).
-    Yields ``reach``, uint8[n, live.shape[1]] with bit j of row v set when
-    mask j reaches v: first with the seed rows all ones, then after every
-    sweep that grows it.  A sweep ORs ``reach[tail] & live[arc]`` into
+    ``live`` is bool[m, masks]: edge e is live in mask j when
+    ``live[e, j]``.  Every edge conducts both ways; with ``arcs``
+    (int64[m, 2]) edge e conducts only from ``arcs[e, 0]`` to
+    ``arcs[e, 1]``.  Yields ``reach``, uint8[n, ceil(masks / 8)] with the
+    masks packed as by ``np.packbits`` (bit j of row v set when mask j
+    reaches v): first with the seed rows all ones, then after every sweep
+    that grows it.  A sweep ORs ``reach[tail] & live[arc]`` into
     ``reach[head]`` for all arcs at once, so sweep t adds the nodes t live
     hops from the seeds.  The same array is yielded each time, updated in
     place.
     """
+    indptr, tails, eid = _in_arcs(g, arcs)
+    bits = np.packbits(live, axis=1)[eid]
     targets = np.flatnonzero(np.diff(indptr))
     starts = indptr[targets]
-    reach = np.zeros((indptr.shape[0] - 1, live.shape[1]), dtype=np.uint8)
-    reach[seeds] = 0xFF
+    reach = np.zeros((g.n, bits.shape[1]), dtype=np.uint8)
+    reach[_seed_array(g, seeds)] = 0xFF
     yield reach
     while targets.size:
         cur = reach[targets]
-        grown = np.bitwise_or.reduceat(reach[tails] & live, starts, axis=0) | cur
+        grown = np.bitwise_or.reduceat(reach[tails] & bits, starts, axis=0) | cur
         if np.array_equal(grown, cur):
             return
         reach[targets] = grown
         yield reach
 
 
-def reach_counts(indptr, tails, live, seeds, masks: int) -> np.ndarray:
-    """int64[masks]: the node count each of the first ``masks`` masks
-    reaches, arguments as in :func:`reach_sweeps`."""
-    for reach in reach_sweeps(indptr, tails, live, seeds):
+def reach_counts(g: Graph, live: np.ndarray, seeds, arcs=None) -> np.ndarray:
+    """int64[masks]: the node count each mask reaches, arguments as in
+    :func:`reach_sweeps`."""
+    for reach in reach_sweeps(g, live, seeds, arcs):
         pass
-    return np.unpackbits(reach, axis=1, count=masks).sum(axis=0, dtype=np.int64)
-
-
-def _arc_live(g: Graph, live: np.ndarray) -> np.ndarray:
-    """Arc bits for :func:`reach_sweeps` on g's CSR from bool[masks, m]."""
-    return np.packbits(live.T, axis=1)[g.adj_eid]
+    return np.unpackbits(reach, axis=1, count=live.shape[1]).sum(axis=0, dtype=np.int64)
 
 
 def _chunk_rows(g: Graph) -> int:
@@ -157,10 +160,9 @@ def run_cascade(g: Graph, seeds, seed: int, record_trajectory: bool = False) -> 
 
     Round t is sweep t of :func:`reach_sweeps` on that replicate's mask.
     """
-    arr = _seed_array(g, seeds)
-    live = _arc_live(g, rng_for(seed).random((1, g.m)) < g.w)
+    live = (rng_for(seed).random((1, g.m)) < g.w).T
     hop = np.full(g.n, -1, dtype=np.int64)
-    for t, reach in enumerate(reach_sweeps(g.indptr, g.nbrs, live, arr)):
+    for t, reach in enumerate(reach_sweeps(g, live, seeds)):
         hop[(np.unpackbits(reach, axis=1, count=1)[:, 0] == 1) & (hop < 0)] = t
     rounds = int(hop.max(initial=-1)) + 1
     final = Coloring(_round_states(hop, rounds))
@@ -190,21 +192,20 @@ def estimate_spreads(g: Graph, seeds, samples: int, master_seed: int, blocked_se
     if samples < 1:
         raise ValueError("samples must be >= 1")
     arr = _seed_array(g, seeds)
-    sets = [_edge_ids(g, b) for b in blocked_sets]
+    sets = [checked_edge_ids(g, b) for b in blocked_sets]
     sums = [[0, 0] for _ in sets]     # per set: sum of counts, of squared counts
     rng = rng_for(master_seed)
     step = min(samples, _chunk_rows(g))
     per = max(1, _chunk_rows(g) // step)     # sets per chunk
     for done in range(0, samples, step):
-        base = rng.random((min(step, samples - done), g.m)) < g.w
+        base = (rng.random((min(step, samples - done), g.m)) < g.w).T
         for lo in range(0, len(sets), per):
             chunk = sets[lo:lo + per]
-            live = np.repeat(base[None], len(chunk), axis=0)
-            live[np.repeat(np.arange(len(chunk)), [ids.size for ids in chunk]), :,
-                 np.concatenate(chunk)] = False
-            masks = live.shape[0] * live.shape[1]
-            counts = reach_counts(g.indptr, g.nbrs, _arc_live(g, live.reshape(masks, g.m)),
-                                  arr, masks).reshape(len(chunk), -1)
+            live = np.repeat(base[:, None], len(chunk), axis=1)    # [edge, set, row]
+            live[np.concatenate(chunk),
+                 np.repeat(np.arange(len(chunk)), [ids.size for ids in chunk])] = False
+            counts = reach_counts(g, live.reshape(g.m, live.shape[1] * live.shape[2]),
+                                  arr).reshape(len(chunk), -1)
             for acc, c in zip(sums[lo:lo + per], counts):
                 acc[0] += int(c.sum())
                 acc[1] += int(c @ c)
@@ -219,8 +220,7 @@ def exact_spread_unit_weights(g: Graph, seeds) -> int:
     """Exact expected spread when every weight is 1: plain reachability."""
     if g.m and not np.all(g.w == 1.0):
         raise ValueError("exact reachability spread requires all weights equal to 1")
-    live = _arc_live(g, np.ones((1, g.m), dtype=bool))
-    return int(reach_counts(g.indptr, g.nbrs, live, _seed_array(g, seeds), 1)[0])
+    return int(reach_counts(g, np.ones((g.m, 1), dtype=bool), seeds)[0])
 
 
 def enumerate_spread_exact(g: Graph, seeds) -> float:
@@ -233,14 +233,13 @@ def enumerate_spread_exact(g: Graph, seeds) -> float:
     """
     if g.m > _MAX_ENUM_EDGES:
         raise ValueError(f"live-edge enumeration is limited to m <= {_MAX_ENUM_EDGES}")
-    arr = _seed_array(g, seeds)
     step = _chunk_rows(g)
     total = 0.0
     for lo in range(0, 1 << g.m, step):
         masks = np.arange(lo, min(lo + step, 1 << g.m), dtype=np.int64)
         live = (masks[:, None] >> np.arange(g.m)) & 1 == 1
         prob = np.where(live, g.w, 1.0 - g.w).prod(axis=1)
-        total += float(prob @ reach_counts(g.indptr, g.nbrs, _arc_live(g, live), arr, masks.size))
+        total += float(prob @ reach_counts(g, live.T, seeds))
     return total
 
 

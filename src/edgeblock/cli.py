@@ -36,7 +36,7 @@ from .graph import (
     parse_edge_list,
     write_edge_list,
 )
-from .hardness import CONSTRUCTIONS, sweep_small_instances, verify_reduction
+from .hardness import CONSTRUCTIONS, SWEEP_SIZES, sweep_small_instances, verify_reduction
 from .seeding import DEFAULT_SEED, rng_for
 from .strategies import STRATEGIES, blocked_edges
 
@@ -161,7 +161,7 @@ def build_parser() -> _Parser:
     p.add_argument("action", choices=("verify",))
     p.add_argument("--graph", default=None, help="edge-list file of the source graph")
     p.add_argument("--k", type=int, default=None, help="subset/budget size")
-    p.add_argument("--sweep-all-small", type=int, default=None, metavar="N",
+    p.add_argument("--sweep-all-small", type=int, choices=SWEEP_SIZES, default=None, metavar="N",
                    help="check every connected graph up to isomorphism with <= N nodes")
     p.add_argument("--construction", choices=CONSTRUCTIONS, default="undirected",
                    help="hub expansion: every edge conducts both ways, or only away "

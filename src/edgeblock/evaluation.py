@@ -84,10 +84,7 @@ class ExperimentConfig:
                 raise ValueError("the grid needs at least one strategy and one budget")
             if len(set(values)) < len(values):
                 raise ValueError(f"duplicate grid entries in {values}")
-        unset = SweepParams()
-        if (self.sweep.budget, self.sweep.master_seed) != (unset.budget, unset.master_seed):
-            raise ValueError("the grid sets each sweep's budget and master_seed; "
-                             "leave them at their defaults")
+        strategies_mod.check_sweep(self.sweep)
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,7 @@ def with_random_weights(g: Graph, rng) -> Graph:
 # exhaustive small-graph enumeration (up to isomorphism)
 # ---------------------------------------------------------------------------
 
-_MAX_ENUM_NODES = 6
+MAX_ENUM_NODES = 6
 
 
 @functools.cache
@@ -75,8 +75,8 @@ def connected_graphs_upto_iso(n: int) -> list[Graph]:
     relabelings; exponential, guarded to n <= 6 (143 graphs in total for
     n in 1..6).
     """
-    if not 1 <= n <= _MAX_ENUM_NODES:
-        raise ValueError(f"enumeration supports 1 <= n <= {_MAX_ENUM_NODES}")
+    if not 1 <= n <= MAX_ENUM_NODES:
+        raise ValueError(f"enumeration supports 1 <= n <= {MAX_ENUM_NODES}")
     pairs = list(combinations(range(n), 2))
     lookup = {p: e for e, p in enumerate(pairs)}
     ecount = len(pairs)

@@ -71,8 +71,7 @@ class Graph:
         return out
 
     def edge_tuple(self, e: int) -> tuple[int, int, float]:
-        if not 0 <= e < self.m:
-            raise ValueError(f"edge id {e} out of range [0, {self.m})")
+        (e,) = checked_edge_ids(self, [e])
         return int(self.eu[e]), int(self.ev[e]), float(self.w[e])
 
     def neighbors(self, v: int) -> np.ndarray:
@@ -443,14 +442,20 @@ def girth(g: Graph):
     return best
 
 
+def checked_edge_ids(g: Graph, edge_ids) -> np.ndarray:
+    """int64 array of edge ids, order and repeats kept; ValueError on an id outside [0, m)."""
+    ids = np.asarray(edge_ids if isinstance(edge_ids, np.ndarray) else list(edge_ids),
+                     dtype=np.int64).reshape(-1)
+    bad = ids[(ids < 0) | (ids >= g.m)]
+    if bad.size:
+        raise ValueError(f"edge id {bad[0]} out of range [0, {g.m})")
+    return ids
+
+
 def remove_edges(g: Graph, edge_ids) -> Graph:
     """New Graph without the given canonical edge ids; nodes unchanged."""
-    ids = np.asarray(sorted(set(int(e) for e in edge_ids)), dtype=np.int64)
-    if ids.size and (ids[0] < 0 or ids[-1] >= g.m):
-        bad = ids[0] if ids[0] < 0 else ids[-1]
-        raise ValueError(f"edge id {bad} out of range [0, {g.m})")
     keep = np.ones(g.m, dtype=bool)
-    keep[ids] = False
+    keep[checked_edge_ids(g, edge_ids)] = False
     return from_edge_arrays(g.n, g.eu[keep], g.ev[keep], g.w[keep], labels=g.labels)
 
 

@@ -38,14 +38,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import SeedSet, _edge_ids, _seed_array, reach_counts
-from .generators import connected_graphs_upto_iso
-from .graph import Graph, from_edge_arrays, girth, is_connected
+from .cascade import SeedSet, reach_counts
+from .generators import MAX_ENUM_NODES, connected_graphs_upto_iso
+from .graph import Graph, checked_edge_ids, from_edge_arrays, girth, is_connected
 
 _MAX_DS_NODES = 18
 _MAX_BLOCKING_SUBSETS = 5_000_000
 _BLOCKING_CHUNK = 4096        # subsets per bit-parallel sweep
 CONSTRUCTIONS = ("undirected", "directed")
+SWEEP_SIZES = range(2, MAX_ENUM_NODES + 1)     # max_n of sweep_small_instances
 
 
 @dataclass(frozen=True)
@@ -137,25 +138,6 @@ def induced_edge_count(h: Graph, nodes) -> int:
                if int(h.eu[e]) in chosen and int(h.ev[e]) in chosen)
 
 
-def _in_arcs(g: Graph, arcs=None):
-    """Arcs grouped by head, as :func:`cascade.reach_sweeps` takes them:
-    ``(indptr, tails, edge ids)``.  Every edge conducts both ways when
-    ``arcs`` is None (g's own CSR); otherwise edge e is the single arc
-    ``arcs[e, 0] -> arcs[e, 1]``."""
-    if arcs is None:
-        return g.indptr, g.nbrs, g.adj_eid
-    arcs = np.asarray(arcs, dtype=np.int64)
-    if arcs.shape != (g.m, 2):
-        raise ValueError("arcs must hold one (tail, head) pair per edge")
-    if g.m and not (np.array_equal(np.minimum(arcs[:, 0], arcs[:, 1]), g.eu)
-                    and np.array_equal(np.maximum(arcs[:, 0], arcs[:, 1]), g.ev)):
-        raise ValueError("arcs must orient the graph's own edges, in edge-id order")
-    order = np.argsort(arcs[:, 1], kind="stable")
-    indptr = np.zeros(g.n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(arcs[:, 1], minlength=g.n), out=indptr[1:])
-    return indptr, arcs[order, 0], order
-
-
 def _require_unit_weights(g: Graph) -> None:
     if g.m and not np.all(g.w == 1.0):
         raise ValueError("edge-blocking optima require unit weights")
@@ -165,14 +147,12 @@ def brute_force_edge_blocking(g: Graph, k: int, seeds, arcs=None) -> BruteForceR
     """Max white (unreachable) node count over all k-edge removals.
 
     Requires unit weights, where expected spread is plain reachability.
-    With ``arcs`` (an instance's ``arcs``), spread follows each edge only
-    from ``arcs[e, 0]`` to ``arcs[e, 1]``; edge ids are unchanged.  Without
-    it every edge conducts both ways.
+    ``arcs`` (an instance's ``arcs``) is as in :func:`cascade.reach_sweeps`.
 
     Bit-parallel: the subsets come in the order of
     ``itertools.combinations(range(m), k)``, in chunks of
     ``_BLOCKING_CHUNK``, and each subset is one live-edge mask of
-    :func:`cascade.reach_sweeps` (its edges dead, all others live), so a
+    :func:`cascade.reach_counts` (its edges dead, all others live), so a
     chunk costs one sweep per hop of the longest shortest path.  Memory is
     about m * ``_BLOCKING_CHUNK`` bytes whatever C(m, k) is.  Only a strict
     improvement replaces the best, so the witness is the first
@@ -185,8 +165,6 @@ def brute_force_edge_blocking(g: Graph, k: int, seeds, arcs=None) -> BruteForceR
     if total > _MAX_BLOCKING_SUBSETS:
         raise ValueError(
             f"C({g.m}, {k}) subsets exceed the enumeration guard of {_MAX_BLOCKING_SUBSETS}")
-    seed_ids = _seed_array(g, seeds)
-    indptr, tails, eid = _in_arcs(g, arcs)
     subsets = itertools.combinations(range(g.m), k)
     best, witness = -1, ()
     for done in range(0, total, _BLOCKING_CHUNK):
@@ -195,8 +173,7 @@ def brute_force_edge_blocking(g: Graph, k: int, seeds, arcs=None) -> BruteForceR
                             np.int64, count=s * k).reshape(s, k)
         blocked = np.zeros((g.m, s), dtype=bool)
         blocked[chunk, np.arange(s)[:, None]] = True
-        live = np.packbits(~blocked, axis=1)[eid]
-        white = g.n - reach_counts(indptr, tails, live, seed_ids, s)
+        white = g.n - reach_counts(g, ~blocked, seeds, arcs)
         j = int(np.argmax(white))
         if white[j] > best:
             best, witness = int(white[j]), tuple(int(e) for e in chunk[j])
@@ -204,14 +181,11 @@ def brute_force_edge_blocking(g: Graph, k: int, seeds, arcs=None) -> BruteForceR
 
 
 def white_count_after_blocking(g: Graph, edge_ids, seeds, arcs=None) -> int:
-    """Independent re-evaluation of an edge-blocking witness; ``arcs`` as
-    in :func:`brute_force_edge_blocking`."""
+    """Independent re-check of a blocking witness; ``arcs`` as in :func:`cascade.reach_sweeps`."""
     _require_unit_weights(g)
-    indptr, tails, eid = _in_arcs(g, arcs)
     live = np.ones((g.m, 1), dtype=bool)
-    live[_edge_ids(g, edge_ids)] = False
-    live = np.packbits(live, axis=1)[eid]
-    return g.n - int(reach_counts(indptr, tails, live, _seed_array(g, seeds), 1)[0])
+    live[checked_edge_ids(g, edge_ids)] = False
+    return g.n - int(reach_counts(g, live, seeds, arcs)[0])
 
 
 @dataclass(frozen=True)
@@ -257,6 +231,8 @@ def sweep_small_instances(max_n: int, construction: str = "undirected") -> list[
     identity holds on either construction (blocking every hub edge
     isolates the hub)."""
     _check_construction(construction)
+    if max_n not in SWEEP_SIZES:
+        raise ValueError(f"max_n must lie in 2..{MAX_ENUM_NODES}, got {max_n}")
     checks = []
     for n in range(2, max_n + 1):
         for h in connected_graphs_upto_iso(n):

@@ -67,6 +67,13 @@ def top_k_edges(scores: np.ndarray, k: int) -> np.ndarray:
     return np.sort(order[: min(k, m)]).astype(np.int64)
 
 
+def check_sweep(sweep) -> None:
+    """Reject a sweep that sets budget or master_seed: :func:`blocked_sets` derives both."""
+    unset = community_mod.SweepParams()
+    if sweep is not None and (sweep.budget, sweep.master_seed) != (unset.budget, unset.master_seed):
+        raise ValueError("a sweep's budget and master_seed are derived per budget; leave them unset")
+
+
 def blocked_sets(g: Graph, strategy: str, ks, master_seed: int, sweep=None) -> list:
     """Blocked edge ids for each budget in ``ks``, seeding derived internally.
 
@@ -76,6 +83,7 @@ def blocked_sets(g: Graph, strategy: str, ks, master_seed: int, sweep=None) -> l
     from (TAG_SWEEP, k).
     """
     code = strategy_code(strategy)
+    check_sweep(sweep)
     if any(k < 0 for k in ks):
         raise ValueError("k must be nonnegative")
     if strategy == "community":

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import breadth_first_order, shortest_path
 
 from edgeblock import cascade as cascade_mod
 from edgeblock.cascade import (
@@ -13,10 +13,11 @@ from edgeblock.cascade import (
     estimate_spread,
     estimate_spreads,
     exact_spread_unit_weights,
+    reach_counts,
     run_cascade,
     sample_seed_set,
 )
-from edgeblock.generators import gnm_random_graph, with_random_weights
+from edgeblock.generators import gnm_random_graph, random_connected_graph, with_random_weights
 from edgeblock.graph import from_edge_arrays, remove_edges
 from edgeblock.hardness import expand_to_blocking_instance
 from edgeblock.seeding import rng_for
@@ -153,9 +154,9 @@ def test_estimate_spreads_share_replicates_across_sets(monkeypatch):
     masks = []
     real = cascade_mod.reach_counts
 
-    def counted(indptr, tails, live, seeds, count):
-        masks.append(count)
-        return real(indptr, tails, live, seeds, count)
+    def counted(g, live, seeds, arcs=None):
+        masks.append(live.shape[1])
+        return real(g, live, seeds, arcs)
 
     monkeypatch.setattr(cascade_mod, "reach_counts", counted)
     for rows, calls in ((16, [16, 16, 8] * 7), (120, [120, 120, 40])):
@@ -233,6 +234,28 @@ def test_exact_unit_weights():
     assert exact_spread_unit_weights(inst.graph, inst.seeds) == 7
     with pytest.raises(ValueError):
         exact_spread_unit_weights(HALF_P3, [0])
+
+
+def test_reach_counts_match_bfs_oracle():
+    rng = np.random.default_rng(8)
+    cases = [(gnm_random_graph(14, 24, 1), None), (gnm_random_graph(6, 0, 2), None)]
+    for seed in range(3):
+        inst = expand_to_blocking_instance(random_connected_graph(5, seed + 1, seed), "directed")
+        cases.append((inst.graph, inst.arcs))
+    for g, arcs in cases:
+        tails, heads = (g.eu, g.ev) if arcs is None else (arcs[:, 0], arcs[:, 1])
+        for masks in (1, 13, 16):
+            live = rng.random((g.m, masks)) < 0.6
+            seeds = rng.choice(g.n, 2, replace=False)
+            oracle = []
+            for col in live.T:
+                a = csr_matrix((np.ones(col.sum()), (tails[col], heads[col])), shape=(g.n, g.n))
+                reached = set()
+                for s in seeds:
+                    reached.update(breadth_first_order(a, s, directed=arcs is not None,
+                                                       return_predecessors=False).tolist())
+                oracle.append(len(reached))
+            assert reach_counts(g, live, seeds, arcs).tolist() == oracle, (g.m, masks)
 
 
 def test_spread_bounds():

@@ -166,6 +166,8 @@ def test_usage_and_runtime_errors(tmp_path, capsys):
     for bad in (["--samples", "0"], ["--seed-fraction", "0"]):
         assert dispatch(["simulate", *missing, *bad]) == 1, bad
     assert dispatch(["hardness", "verify", *missing, "--k", "0"]) == 1
+    for n in ("7", "1"):
+        assert dispatch(["hardness", "verify", "--sweep-all-small", n]) == 1, n
     assert not (tmp_path / "out").exists()
 
 

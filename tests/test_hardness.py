@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from oracle_utils import edge_blocking_reference
 
+from edgeblock import hardness as hardness_mod
 from edgeblock.generators import (
     connected_graphs_upto_iso,
     gnm_random_graph,
@@ -268,6 +269,18 @@ def test_verify_validation():
         verify_reduction(K3, 0)
     with pytest.raises(ValueError):
         verify_reduction(K3, 4)
+
+
+def test_sweep_size_rejected_before_any_check(monkeypatch):
+    calls = []
+    real = hardness_mod.verify_reduction
+    monkeypatch.setattr(hardness_mod, "verify_reduction",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    for max_n in (7, 1, 0):
+        with pytest.raises(ValueError):
+            sweep_small_instances(max_n)
+    assert calls == []
+    assert len(sweep_small_instances(2)) == len(calls) == 2
 
 
 def test_sweep_small_instances_runs():

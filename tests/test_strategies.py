@@ -132,6 +132,16 @@ def test_blocked_edges_dispatch():
         sweep=SweepParams(resolution=0.05, factor=1.2, h1=2, h2=2)))
 
 
+def test_preset_sweep_budget_and_seed_rejected():
+    g = planted_partition(3, 6, 0.8, 0.08, 6)
+    for preset in (SweepParams(budget=40), SweepParams(master_seed=123),
+                   SweepParams(budget=40, master_seed=123)):
+        for strategy in ("community", "deg"):
+            with pytest.raises(ValueError):
+                blocked_edges(g, strategy, 6, 10, sweep=preset)
+    assert blocked_edges(g, "community", 6, 10, sweep=SweepParams(h1=2)).size <= 6
+
+
 def test_blocked_sets_match_single_budget_calls():
     # a graph whose community sweeps depend on their seed
     g = assign_jaccard_weights(gnm_random_graph(20, 45, 4))
