@@ -80,19 +80,21 @@ def _load_graph(args) -> Graph:
 
 
 def _parse_budgets(text: str):
-    """Either 'LO..HI' integer percents or a comma list of percents/fractions."""
+    """Either 'LO..HI' integer percents or a comma list of percents/fractions.
+
+    A trailing '%' always means percent; a bare value below 1 is a fraction.
+    """
     text = text.strip()
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi.rstrip("%"))
+        lo, hi = (int(t.strip().removesuffix("%")) for t in text.split("..", 1))
         if not 1 <= lo <= hi <= 100:
             raise ValueError(f"bad budget range {text!r}")
         return tuple(i / 100.0 for i in range(lo, hi + 1))
     out = []
     for tok in text.split(","):
-        tok = tok.strip().rstrip("%")
-        val = float(tok)
-        if val >= 1.0:
+        tok = tok.strip()
+        val = float(tok.removesuffix("%"))
+        if tok.endswith("%") or val >= 1.0:
             val /= 100.0
         if not 0.0 < val <= 1.0:
             raise ValueError(f"bad budget {tok!r}")
@@ -153,8 +155,6 @@ def build_parser() -> _Parser:
                    help="network name for reports (default: graph file stem)")
     p.add_argument("--threads", type=int, default=1,
                    help="worker threads, 0 = auto (default: %(default)s)")
-    p.add_argument("--no-crn", action="store_true",
-                   help="disable common random numbers between before/after estimates")
     _add_sweep_args(p)
 
     p = sub.add_parser("hardness", help="brute-force optimum identity checks")
@@ -259,7 +259,6 @@ def _cmd_evaluate(args) -> int:
             seed_set_reps=args.seed_sets,
             cascade_reps=args.cascades,
             master_seed=args.seed,
-            common_random_numbers=not args.no_crn,
             sweep=_sweep_from_args(args),
             threads=args.threads,
         )

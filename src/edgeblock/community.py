@@ -4,9 +4,8 @@ Louvain greedily maximizes modularity with a resolution parameter:
 
     Q = sum over communities c of [ e_c / m  -  resolution * (d_c / 2m)^2 ]
 
-where e_c counts intra-community edges and d_c sums member degrees.  By
-default the unweighted structure is used (edge weights do not enter Q);
-``use_weights`` switches to weighted totals.
+where e_c counts intra-community edges and d_c sums member degrees.  Only
+the unweighted structure is used: edge weights do not enter Q.
 
 The sweep grows the resolution geometrically, re-running Louvain several
 times per step (the algorithm is seeded-random), and keeps the largest
@@ -54,16 +53,15 @@ def _dense_relabel(labels: np.ndarray) -> np.ndarray:
     return out
 
 
-def modularity(g: Graph, partition: Partition, resolution: float = 1.0,
-               use_weights: bool = False) -> float:
+def modularity(g: Graph, partition: Partition, resolution: float = 1.0) -> float:
     """Direct evaluation of Q for the given partition."""
     labels = partition.labels
     if labels.shape[0] != g.n:
         raise ValueError("partition size does not match node count")
     if g.m == 0:
         return 0.0
-    ew = g.w if use_weights else np.ones(g.m)
-    total = float(ew.sum())
+    ew = np.ones(g.m)
+    total = float(g.m)
     c = partition.n_communities
     intra = np.zeros(c)
     same = labels[g.eu] == labels[g.ev]
@@ -134,8 +132,7 @@ def _local_moving(indptr, nbrs, w, node_k, order, gamma, two_m) -> np.ndarray:
     return np.array(comm, dtype=np.int64)
 
 
-def louvain_partition(g: Graph, resolution: float, rng,
-                      use_weights: bool = False) -> Partition:
+def louvain_partition(g: Graph, resolution: float, rng) -> Partition:
     """Two-phase Louvain: greedy local moves, then graph aggregation,
     repeated until the community count stops shrinking.
 
@@ -151,7 +148,7 @@ def louvain_partition(g: Graph, resolution: float, rng,
 
     eu = g.eu.astype(np.int64)
     ev = g.ev.astype(np.int64)
-    w = g.w.astype(np.float64) if use_weights else np.ones(g.m)
+    w = np.ones(g.m)
     loops = np.zeros(g.n)
     mapping = np.arange(g.n, dtype=np.int64)
     size = g.n

@@ -6,11 +6,11 @@ of the expected final orange count:
     cf = 100 * (phi_before - phi_after) / phi_before
 
 For each seed set the baseline phi_before is estimated once and shared
-across strategies and budgets.  By default (common random numbers)
-phi_after is estimated on the baseline's own stream: every replicate keeps
-its uniform per edge, and the blocked edges are forced dead.  The coupling
-is pathwise, so phi_after <= phi_before in every replicate and cf lies in
-[0, 100]; it cuts variance out of the comparison without biasing it.
+across strategies and budgets.  phi_after is estimated on the baseline's
+own stream (common random numbers): every replicate keeps its uniform per
+edge, and the blocked edges are forced dead.  The coupling is pathwise, so
+phi_after <= phi_before in every replicate and cf lies in [0, 100]; it cuts
+variance out of the comparison without biasing it.
 Blocking is an edge mask, so no pruned graph copy is built.  Every stream
 derives from the master seed plus grid coordinates, so output is
 byte-identical across runs and worker counts.
@@ -18,7 +18,6 @@ byte-identical across runs and worker counts.
 
 from __future__ import annotations
 
-import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -28,23 +27,12 @@ from pathlib import Path
 import numpy as np
 
 from . import strategies as strategies_mod
-from .cascade import estimate_spread, estimate_spreads, sample_seed_set
+from .cascade import estimate_spreads, sample_seed_set
 from .community import SweepParams
 from .graph import Graph
-from .seeding import (
-    DEFAULT_SEED,
-    TAG_CASCADE,
-    TAG_CASCADE_INDEP,
-    TAG_SEED_SETS,
-    replicate_seed_bits,
-    rng_for,
-)
-
-log = logging.getLogger(__name__)
+from .seeding import DEFAULT_SEED, TAG_CASCADE, TAG_SEED_SETS, replicate_seed_bits, rng_for
 
 DEFAULT_BUDGET_FRACTIONS = tuple(i / 100.0 for i in range(1, 21))
-# rounding allowance when flagging cf values outside [0, 100]
-_CF_SLACK = 1e-9
 
 
 def containment_factor(phi_before: float, phi_after: float) -> float:
@@ -63,11 +51,14 @@ class ExperimentConfig:
     seed_set_reps: int = 10
     cascade_reps: int = 10
     master_seed: int = DEFAULT_SEED
-    common_random_numbers: bool = True
     sweep: SweepParams = field(default_factory=SweepParams)
     threads: int = 1
 
     def __post_init__(self):
+        # the name goes unquoted into file names, CSV fields and SVG text
+        if any(ch in self.network for ch in ",\r\n/<>&"):
+            raise ValueError(f"network name {self.network!r} may not contain , / < > & "
+                             "or a line break")
         for f in self.budget_fractions:
             if not 0.0 < f <= 1.0:
                 raise ValueError("budget fractions must lie in (0, 1]")
@@ -113,10 +104,6 @@ class ContainmentReport:
     aggregates: tuple
     config: ExperimentConfig
 
-    def out_of_range_rows(self) -> tuple:
-        """Monte Carlo cf values outside [0, 100]; reported raw, not clamped."""
-        return tuple(r for r in self.details if r.cf < -_CF_SLACK or r.cf > 100.0 + _CF_SLACK)
-
 
 def budget_to_edge_count(fraction: float, m: int) -> int:
     # tiny epsilon compensates binary rounding of fraction * m
@@ -134,26 +121,18 @@ def run_experiment(g: Graph, cfg: ExperimentConfig) -> ContainmentReport:
     """Full grid: draw seed sets, estimate baseline and post-blocking spread,
     emit per-cell detail rows and per-(strategy, budget) aggregates.
 
-    Under common random numbers each seed set takes one
-    :func:`estimate_spreads` pass for its baseline and every cell; without
-    them each cell estimates on its own stream.  Worker threads run over
-    seed sets.
+    Each seed set takes one :func:`estimate_spreads` pass for its baseline
+    and every cell.  Worker threads run over seed sets.
     """
     blocked = _blocked_sets(g, cfg)
     reps = cfg.seed_set_reps
     # element i: master seed of seed set i's cascade stream
     streams = replicate_seed_bits(cfg.master_seed, TAG_CASCADE, count=reps)
-    indep = [replicate_seed_bits(cfg.master_seed, TAG_CASCADE_INDEP, si, bi, count=reps)
-             for si in range(len(cfg.strategies)) for bi in range(len(cfg.budget_fractions))]
 
     def spreads(i):
         """phi_before, then phi_after per cell, for seed set i."""
         seeds = sample_seed_set(g, cfg.seed_fraction, rng_for(cfg.master_seed, TAG_SEED_SETS, i))
-        if cfg.common_random_numbers:
-            return estimate_spreads(g, seeds, cfg.cascade_reps, streams[i], [()] + blocked)[0]
-        return [estimate_spread(g, seeds, cfg.cascade_reps, streams[i])[0]] + [
-            estimate_spread(g, seeds, cfg.cascade_reps, cell[i], blocked=ids)[0]
-            for cell, ids in zip(indep, blocked)]
+        return estimate_spreads(g, seeds, cfg.cascade_reps, streams[i], [()] + blocked)[0]
 
     workers = cfg.threads or os.cpu_count() or 1
     if workers > 1 and reps > 1:
@@ -166,16 +145,12 @@ def run_experiment(g: Graph, cfg: ExperimentConfig) -> ContainmentReport:
     details = [DetailRow(strat, frac, i, phi[i][0], phi[i][c + 1],
                          containment_factor(phi[i][0], phi[i][c + 1]))
                for c, (strat, frac) in enumerate(cells) for i in range(reps)]
-    report = ContainmentReport(
+    return ContainmentReport(
         network=cfg.network,
         details=tuple(details),
         aggregates=tuple(summarize_report(details)),
         config=cfg,
     )
-    flagged = report.out_of_range_rows()
-    if flagged:
-        log.warning("%d containment factors fell outside [0, 100]", len(flagged))
-    return report
 
 
 def summarize_report(details) -> list:

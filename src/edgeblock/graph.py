@@ -443,9 +443,12 @@ def girth(g: Graph):
 
 
 def checked_edge_ids(g: Graph, edge_ids) -> np.ndarray:
-    """int64 array of edge ids, order and repeats kept; ValueError on an id outside [0, m)."""
-    ids = np.asarray(edge_ids if isinstance(edge_ids, np.ndarray) else list(edge_ids),
-                     dtype=np.int64).reshape(-1)
+    """int64 array of edge ids, order and repeats kept; ValueError on a
+    non-integer id (bools included) or one outside [0, m)."""
+    ids = np.asarray(edge_ids if isinstance(edge_ids, np.ndarray) else list(edge_ids)).reshape(-1)
+    if ids.size and (ids.dtype == bool or not np.issubdtype(ids.dtype, np.integer)):
+        raise ValueError(f"edge ids must be integers, got dtype {ids.dtype}")
+    ids = ids.astype(np.int64, copy=False)
     bad = ids[(ids < 0) | (ids >= g.m)]
     if bad.size:
         raise ValueError(f"edge id {bad[0]} out of range [0, {g.m})")

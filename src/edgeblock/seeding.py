@@ -9,10 +9,10 @@ import numpy as np
 
 DEFAULT_SEED = 42
 
-# stream tags: first coordinate after the master seed
+# stream tags: first coordinate after the master seed; the numbers are part
+# of every stream's key, so a retired tag (3) leaves a gap, never a renumbering
 TAG_SEED_SETS = 1
 TAG_CASCADE = 2
-TAG_CASCADE_INDEP = 3
 TAG_STRATEGY = 4
 TAG_SWEEP = 5
 TAG_GENERATE = 6

@@ -165,8 +165,10 @@ def test_estimate_spreads_share_replicates_across_sets(monkeypatch):
         assert repr(estimate_spreads(g, [1, 2], 40, 77, sets)) == repr(whole)
         assert sorted(masks) == sorted(calls)
     assert estimate_spreads(g, [1, 2], 40, 77, []) == ([], [])
-    with pytest.raises(ValueError):
-        estimate_spreads(g, [1, 2], 40, 77, [(), [g.m]])
+    # ids outside [0, m), and non-integer ids, which must not be truncated
+    for bad in ([g.m], [0.9], [True], np.array([1.0])):
+        with pytest.raises(ValueError):
+            estimate_spreads(g, [1, 2], 40, 77, [(), bad])
 
 
 def test_estimate_non_increasing_over_nested_blocked_sets():

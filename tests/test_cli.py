@@ -111,6 +111,16 @@ def test_evaluate_budget_range_syntax(planted, tmp_path):
     assert [l.split(",")[2] for l in lines[1:]] == ["1", "2", "3"]
 
 
+@pytest.mark.parametrize("text, fractions", [
+    ("0.5%", (0.005,)), ("0.5", (0.5,)), ("5", (0.05,)), ("5%", (0.05,)),
+    ("100%", (1.0,)), ("0.05, 10%, 20", (0.05, 0.1, 0.2)),
+    ("1..3", (0.01, 0.02, 0.03)), ("1%..3", (0.01, 0.02, 0.03)),
+    ("1..3%", (0.01, 0.02, 0.03)), ("1%..3%", (0.01, 0.02, 0.03)),
+])
+def test_parse_budgets_trailing_percent_means_percent(text, fractions):
+    assert cli._parse_budgets(text) == fractions
+
+
 def test_hardness_verify(tmp_path, capsys):
     p = tmp_path / "k3.txt"
     p.write_text("0 1\n0 2\n1 2\n")
@@ -159,7 +169,9 @@ def test_usage_and_runtime_errors(tmp_path, capsys):
     evaluate = ["evaluate", *missing, "--out", str(tmp_path / "out")]
     for bad in (["--threads", "-1"], ["--strategies", "rndm,rndm"], ["--strategies", "nope"],
                 ["--strategies", ","], ["--seed-sets", "0"], ["--budgets", "5..3"],
-                ["--budgets", "1%..5"]):
+                ["--budgets", "0.5..5"],
+                *(["--network", name] for name in ("a,b", "a\nb", "a\rb", "../x", "a<b",
+                                                   "a>b", "a&b"))):
         assert dispatch(evaluate + bad) == 1, bad
     for bad in (["--k", "-1"], ["--k", "2", "--h1", "0"], ["--budget-frac", "2"]):
         assert dispatch(["block", *missing, "--strategy", "deg", *bad]) == 1, bad

@@ -214,10 +214,12 @@ def test_remove_edges_basics():
     assert g2.n == 3 and g2.m == 1
     assert g2.edge_tuple(0)[:2] == (0, 1)
     assert remove_edges(P3, []).same_structure(P3)
+    assert remove_edges(P3, ()).same_structure(P3)
     assert remove_edges(P3, [0, 1]).m == 0
     assert remove_edges(P3, [0, 1]).n == 3
-    with pytest.raises(ValueError):
-        remove_edges(P3, [7])
+    for bad in ([7], [0.9], [True], np.array([1.0])):
+        with pytest.raises(ValueError):
+            remove_edges(P3, bad)
     # original untouched
     assert P3.m == 2
 

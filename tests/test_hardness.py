@@ -224,8 +224,9 @@ def test_arcs_must_orient_own_edges():
     bad[0] = bad[1]
     with pytest.raises(ValueError):
         brute_force_edge_blocking(inst.graph, 1, inst.seeds, bad)
-    with pytest.raises(ValueError):
-        white_count_after_blocking(inst.graph, [-1], inst.seeds, inst.arcs)
+    for bad in ([-1], [0.9], [True]):
+        with pytest.raises(ValueError):
+            white_count_after_blocking(inst.graph, bad, inst.seeds, inst.arcs)
 
 
 def test_construction_validation():
