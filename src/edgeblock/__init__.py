@@ -13,14 +13,11 @@ __version__ = "0.1.0"
 NUMBA_ENABLED = False
 
 from .cascade import (
-    CascadeOutcome,
-    Coloring,
     SeedSet,
     enumerate_spread_exact,
     estimate_spread,
     estimate_spreads,
     exact_spread_unit_weights,
-    run_cascade,
     sample_seed_set,
 )
 from .centrality import ConvergenceError, edge_betweenness, node_closeness, node_pagerank

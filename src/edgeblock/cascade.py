@@ -11,7 +11,7 @@ distribution as the set reachable from the seeds over edges that are each
 live, independently, with probability equal to their weight (the live-edge
 view of Kempe, Kleinberg & Tardos, KDD 2003); a node turns red in the round
 equal to its live hop distance from the seeds.  Every spread computation
-here is therefore one primitive, :func:`reach_sweeps`: reachability over a
+here is therefore one primitive, :func:`reach_counts`: reachability over a
 batch of live-edge masks, bool[m, masks], that only it packs to bits.
 
 Monte Carlo replicate r is row r of an R x m block of uniforms drawn from
@@ -27,35 +27,17 @@ graphs).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, checked_edge_ids
+from .graph import Graph, checked_edge_ids, integer_ids
 from .seeding import as_rng, rng_for
-
-WHITE = 0
-RED = 1
-ORANGE = 2
 
 _MAX_ENUM_EDGES = 25
 # edge states per chunk of masks (rows x max(m, n)); bounds memory only,
 # since no result depends on where the chunks split
 _CHUNK_ELEMENTS = 1 << 20
-
-
-@dataclass(frozen=True)
-class Coloring:
-    """One state per node, values in {WHITE, RED, ORANGE}."""
-
-    states: np.ndarray
-
-    def count(self, state: int) -> int:
-        return int(np.count_nonzero(self.states == state))
-
-    @property
-    def n(self) -> int:
-        return int(self.states.shape[0])
 
 
 @dataclass(frozen=True)
@@ -66,19 +48,12 @@ class SeedSet:
 
     @classmethod
     def of(cls, nodes) -> "SeedSet":
-        return cls(np.unique(np.asarray(list(nodes), dtype=np.int64)))
+        """ValueError on non-integer node ids (bools included)."""
+        return cls(np.unique(integer_ids(nodes, "seed nodes")))
 
     @property
     def size(self) -> int:
         return int(self.nodes.shape[0])
-
-
-@dataclass(frozen=True)
-class CascadeOutcome:
-    final_coloring: Coloring
-    rounds: int
-    orange_count: int
-    trajectory: tuple = field(default=(), compare=False)
 
 
 def _seed_array(g: Graph, seeds) -> np.ndarray:
@@ -105,19 +80,18 @@ def _in_arcs(g: Graph, arcs=None):
     return indptr, arcs[order, 0], order
 
 
-def reach_sweeps(g: Graph, live: np.ndarray, seeds, arcs=None):
-    """Reachability from ``seeds`` over a batch of live-edge masks.
+def reach_counts(g: Graph, live: np.ndarray, seeds, arcs=None) -> np.ndarray:
+    """int64[masks]: the node count each live-edge mask reaches from ``seeds``.
 
     ``live`` is bool[m, masks]: edge e is live in mask j when
     ``live[e, j]``.  Every edge conducts both ways; with ``arcs``
     (int64[m, 2]) edge e conducts only from ``arcs[e, 0]`` to
-    ``arcs[e, 1]``.  Yields ``reach``, uint8[n, ceil(masks / 8)] with the
+    ``arcs[e, 1]``.  Reach is held as uint8[n, ceil(masks / 8)] with the
     masks packed as by ``np.packbits`` (bit j of row v set when mask j
-    reaches v): first with the seed rows all ones, then after every sweep
-    that grows it.  A sweep ORs ``reach[tail] & live[arc]`` into
-    ``reach[head]`` for all arcs at once, so sweep t adds the nodes t live
-    hops from the seeds.  The same array is yielded each time, updated in
-    place.
+    reaches v), the seed rows all ones.  A sweep ORs ``reach[tail] &
+    live[arc]`` into ``reach[head]`` for all arcs at once, so sweep t adds
+    the nodes t live hops from the seeds (round t of the module docstring);
+    sweeps run until one adds nothing.
     """
     indptr, tails, eid = _in_arcs(g, arcs)
     bits = np.packbits(live, axis=1)[eid]
@@ -125,51 +99,17 @@ def reach_sweeps(g: Graph, live: np.ndarray, seeds, arcs=None):
     starts = indptr[targets]
     reach = np.zeros((g.n, bits.shape[1]), dtype=np.uint8)
     reach[_seed_array(g, seeds)] = 0xFF
-    yield reach
     while targets.size:
         cur = reach[targets]
         grown = np.bitwise_or.reduceat(reach[tails] & bits, starts, axis=0) | cur
         if np.array_equal(grown, cur):
-            return
+            break
         reach[targets] = grown
-        yield reach
-
-
-def reach_counts(g: Graph, live: np.ndarray, seeds, arcs=None) -> np.ndarray:
-    """int64[masks]: the node count each mask reaches, arguments as in
-    :func:`reach_sweeps`."""
-    for reach in reach_sweeps(g, live, seeds, arcs):
-        pass
     return np.unpackbits(reach, axis=1, count=live.shape[1]).sum(axis=0, dtype=np.int64)
 
 
 def _chunk_rows(g: Graph) -> int:
     return max(1, _CHUNK_ELEMENTS // max(g.m, g.n, 1))
-
-
-def _round_states(hop: np.ndarray, t: int) -> np.ndarray:
-    """States after round t for nodes first reached at round ``hop`` (-1: never)."""
-    states = np.full(hop.shape, WHITE, dtype=np.uint8)
-    states[(hop >= 0) & (hop < t)] = ORANGE
-    states[hop == t] = RED
-    return states
-
-
-def run_cascade(g: Graph, seeds, seed: int, record_trajectory: bool = False) -> CascadeOutcome:
-    """One full cascade: replicate 0 of ``estimate_spread(g, seeds, samples, seed)``.
-
-    Round t is sweep t of :func:`reach_sweeps` on that replicate's mask.
-    """
-    live = (rng_for(seed).random((1, g.m)) < g.w).T
-    hop = np.full(g.n, -1, dtype=np.int64)
-    for t, reach in enumerate(reach_sweeps(g, live, seeds)):
-        hop[(np.unpackbits(reach, axis=1, count=1)[:, 0] == 1) & (hop < 0)] = t
-    rounds = int(hop.max(initial=-1)) + 1
-    final = Coloring(_round_states(hop, rounds))
-    trajectory = ()
-    if record_trajectory:
-        trajectory = tuple(Coloring(_round_states(hop, t)) for t in range(rounds + 1))
-    return CascadeOutcome(final, rounds, final.count(ORANGE), trajectory)
 
 
 def estimate_spread(g: Graph, seeds, samples: int, master_seed: int, blocked=()):

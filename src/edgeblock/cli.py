@@ -30,7 +30,6 @@ from .evaluation import (
 from .graph import (
     Graph,
     assign_jaccard_weights,
-    girth,
     graph_stats,
     label_of_token,
     parse_edge_list,

@@ -14,6 +14,7 @@ inter-community edge set that still fits the blocking budget.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,8 +141,8 @@ def louvain_partition(g: Graph, resolution: float, rng) -> Partition:
     so distinct seeds explore distinct local optima while a fixed seed is
     fully reproducible.
     """
-    if resolution <= 0.0:
-        raise ValueError("resolution must be positive")
+    if not 0.0 < resolution < math.inf:
+        raise ValueError("resolution must be finite and positive")
     rng = as_rng(rng)
     if g.m == 0:
         return Partition(np.arange(g.n, dtype=np.int64))
@@ -194,10 +195,10 @@ class SweepParams:
     master_seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        if self.resolution <= 0.0:
-            raise ValueError("resolution must be positive")
-        if self.factor <= 1.0:
-            raise ValueError("factor must exceed 1")
+        if not 0.0 < self.resolution < math.inf:
+            raise ValueError("resolution must be finite and positive")
+        if not 1.0 < self.factor < math.inf:
+            raise ValueError("factor must be finite and exceed 1")
         if self.h1 < 1 or self.h2 < 1:
             raise ValueError("h1 and h2 must be >= 1")
         if self.budget < 0:

@@ -77,17 +77,6 @@ class Graph:
     def neighbors(self, v: int) -> np.ndarray:
         return self.nbrs[self.indptr[v]:self.indptr[v + 1]]
 
-    def edge_id(self, u: int, v: int) -> int:
-        """Canonical id of edge (u, v); raises if absent."""
-        if u > v:
-            u, v = v, u
-        lo = int(np.searchsorted(self.eu, u, side="left"))
-        hi = int(np.searchsorted(self.eu, u, side="right"))
-        j = lo + int(np.searchsorted(self.ev[lo:hi], v, side="left"))
-        if j < hi and self.ev[j] == v:
-            return j
-        raise ValueError(f"no edge ({u}, {v})")
-
     def with_weights(self, w: np.ndarray) -> "Graph":
         """Same structure, new per-edge weights."""
         w = np.asarray(w, dtype=np.float64)
@@ -194,8 +183,14 @@ def _open_text(source):
 
 
 def label_of_token(token: str):
-    """The label an edge-list node token gets: an int when it is one."""
-    return int(token) if token.lstrip("-").isdigit() else token
+    """The label an edge-list node token gets: an int when the token is one
+    written canonically (``str(int(token)) == token``), else the token, so
+    tokens such as ``05`` and ``5`` stay distinct nodes."""
+    try:
+        value = int(token)
+    except ValueError:
+        return token
+    return value if str(value) == token else token
 
 
 def parse_edge_list(source) -> Graph:
@@ -442,13 +437,19 @@ def girth(g: Graph):
     return best
 
 
+def integer_ids(ids, what: str) -> np.ndarray:
+    """Flat int64 array of ``ids``, order and repeats kept; ValueError when a
+    non-empty array is not of an integer dtype (bools included), so an id
+    is never truncated."""
+    arr = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids)).reshape(-1)
+    if arr.size and (arr.dtype == bool or not np.issubdtype(arr.dtype, np.integer)):
+        raise ValueError(f"{what} must be integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
 def checked_edge_ids(g: Graph, edge_ids) -> np.ndarray:
-    """int64 array of edge ids, order and repeats kept; ValueError on a
-    non-integer id (bools included) or one outside [0, m)."""
-    ids = np.asarray(edge_ids if isinstance(edge_ids, np.ndarray) else list(edge_ids)).reshape(-1)
-    if ids.size and (ids.dtype == bool or not np.issubdtype(ids.dtype, np.integer)):
-        raise ValueError(f"edge ids must be integers, got dtype {ids.dtype}")
-    ids = ids.astype(np.int64, copy=False)
+    """:func:`integer_ids` of the edge ids; ValueError on one outside [0, m)."""
+    ids = integer_ids(edge_ids, "edge ids")
     bad = ids[(ids < 0) | (ids >= g.m)]
     if bad.size:
         raise ValueError(f"edge id {bad[0]} out of range [0, {g.m})")
@@ -460,8 +461,3 @@ def remove_edges(g: Graph, edge_ids) -> Graph:
     keep = np.ones(g.m, dtype=bool)
     keep[checked_edge_ids(g, edge_ids)] = False
     return from_edge_arrays(g.n, g.eu[keep], g.ev[keep], g.w[keep], labels=g.labels)
-
-
-def edge_ids_for_pairs(g: Graph, pairs) -> np.ndarray:
-    """Canonical edge ids for (u, v) pairs (order-insensitive)."""
-    return np.array([g.edge_id(u, v) for u, v in pairs], dtype=np.int64)

@@ -131,13 +131,6 @@ def brute_force_densest_subgraph(h: Graph, k: int) -> BruteForceResult:
     return BruteForceResult(best, witness)
 
 
-def induced_edge_count(h: Graph, nodes) -> int:
-    """Independent re-evaluation of a densest-subgraph witness."""
-    chosen = set(int(v) for v in nodes)
-    return sum(1 for e in range(h.m)
-               if int(h.eu[e]) in chosen and int(h.ev[e]) in chosen)
-
-
 def _require_unit_weights(g: Graph) -> None:
     if g.m and not np.all(g.w == 1.0):
         raise ValueError("edge-blocking optima require unit weights")
@@ -147,7 +140,7 @@ def brute_force_edge_blocking(g: Graph, k: int, seeds, arcs=None) -> BruteForceR
     """Max white (unreachable) node count over all k-edge removals.
 
     Requires unit weights, where expected spread is plain reachability.
-    ``arcs`` (an instance's ``arcs``) is as in :func:`cascade.reach_sweeps`.
+    ``arcs`` (an instance's ``arcs``) is as in :func:`cascade.reach_counts`.
 
     Bit-parallel: the subsets come in the order of
     ``itertools.combinations(range(m), k)``, in chunks of
@@ -181,7 +174,7 @@ def brute_force_edge_blocking(g: Graph, k: int, seeds, arcs=None) -> BruteForceR
 
 
 def white_count_after_blocking(g: Graph, edge_ids, seeds, arcs=None) -> int:
-    """Independent re-check of a blocking witness; ``arcs`` as in :func:`cascade.reach_sweeps`."""
+    """Independent re-check of a blocking witness; ``arcs`` as in :func:`cascade.reach_counts`."""
     _require_unit_weights(g)
     live = np.ones((g.m, 1), dtype=bool)
     live[checked_edge_ids(g, edge_ids)] = False

@@ -1,12 +1,14 @@
 """Independent brute-force oracles used to pin expected values.
 
 Everything here recomputes quantities from first principles (path
-enumeration, triple loops, dense linear algebra, exhaustive partitions)
-and stays independent of the library's own algorithms.  The last section
+enumeration, triple loops, dense linear algebra, exhaustive partitions,
+the cascade's round-by-round states) and stays independent of the
+library's own algorithms.  The last section
 keeps the array kernels that the library's sequential helpers replaced, as
 bit-identity references.
 """
 
+import functools
 import heapq
 import itertools
 import math
@@ -213,6 +215,39 @@ def brute_expected_spread(g, seeds):
                     queue.append(v)
         total += prob * len(seen)
     return total
+
+
+def round_model_expected_spread(g, seeds):
+    """Exact expected final orange count of the synchronous round model.
+
+    From a (red, orange) state, each white node with red neighbors turns
+    red, independently, with probability 1 - prod(1 - w) over those
+    neighbors, and every red node turns orange; the recursion sums over
+    every subset of newly red nodes.  No live-edge view is used, so this
+    checks the live-edge equivalence rather than assuming it (n small).
+    """
+    nbrs = [[(int(g.nbrs[j]), float(g.adj_w[j])) for j in range(g.indptr[v], g.indptr[v + 1])]
+            for v in range(g.n)]
+
+    @functools.cache
+    def expected(red, orange):
+        if not red:
+            return float(len(orange))
+        done = red | orange
+        miss = {}      # white node with a red neighbor -> P(no red neighbor fires)
+        for v in range(g.n):
+            hits = [1.0 - w for u, w in nbrs[v] if u in red]
+            if v not in done and hits:
+                miss[v] = math.prod(hits)
+        total = 0.0
+        for r in range(len(miss) + 1):
+            for new in itertools.combinations(miss, r):
+                prob = math.prod(1.0 - q if v in new else q for v, q in miss.items())
+                if prob:
+                    total += prob * expected(frozenset(new), done)
+        return total
+
+    return expected(frozenset(int(s) for s in seeds), frozenset())
 
 
 def best_edge_blocking(indptr, nbrs, adj_eid, m, k, seeds):

@@ -5,23 +5,19 @@ from scipy.sparse.csgraph import breadth_first_order, shortest_path
 
 from edgeblock import cascade as cascade_mod
 from edgeblock.cascade import (
-    ORANGE,
-    RED,
-    WHITE,
     SeedSet,
     enumerate_spread_exact,
     estimate_spread,
     estimate_spreads,
     exact_spread_unit_weights,
     reach_counts,
-    run_cascade,
     sample_seed_set,
 )
 from edgeblock.generators import gnm_random_graph, random_connected_graph, with_random_weights
 from edgeblock.graph import from_edge_arrays, remove_edges
 from edgeblock.hardness import expand_to_blocking_instance
 from edgeblock.seeding import rng_for
-from oracle_utils import brute_expected_spread
+from oracle_utils import brute_expected_spread, round_model_expected_spread
 
 P3 = from_edge_arrays(3, [0, 1], [1, 2])
 HALF_P3 = P3.with_weights(np.array([0.5, 0.5]))
@@ -42,68 +38,6 @@ def test_round_two_red_neighbors_combine():
     hits = round(mean * 20000) - 2 * 20000
     # p* = 1 - 0.25 = 0.75; four sigma is ~245
     assert abs(hits - 15000) < 245
-
-
-def test_round_no_red_neighbors_stays_white():
-    g = from_edge_arrays(3, [0], [1], [1.0])
-    out = run_cascade(g, [0], seed=2, record_trajectory=True).trajectory[1]
-    assert out.states[2] == WHITE
-    assert out.states[0] == ORANGE
-
-
-def test_run_cascade_unit_chain():
-    out = run_cascade(P3, [0], seed=5)
-    assert out.orange_count == 3
-    assert out.rounds == 3
-    assert out.final_coloring.count(RED) == 0
-
-
-def test_run_cascade_empty_and_full_seeds():
-    assert run_cascade(P3, [], seed=1).orange_count == 0
-    assert run_cascade(P3, [], seed=1).rounds == 0
-    out = run_cascade(P3, [0, 1, 2], seed=1)
-    assert out.orange_count == 3 and out.rounds == 1
-
-
-def test_trajectory_matches_kernel():
-    g = with_random_weights(gnm_random_graph(10, 18, 3), 3)
-    plain = run_cascade(g, [0, 4], seed=9)
-    traced = run_cascade(g, [0, 4], seed=9, record_trajectory=True)
-    assert np.array_equal(plain.final_coloring.states, traced.final_coloring.states)
-    assert plain.rounds == traced.rounds
-    assert len(traced.trajectory) == traced.rounds + 1
-
-
-def test_run_cascade_is_replicate_zero_of_estimate():
-    for seed in range(10):
-        g = with_random_weights(gnm_random_graph(12, 24, seed), seed)
-        seeds = [seed % 12]
-        out = run_cascade(g, seeds, seed=seed)
-        assert out.orange_count == estimate_spread(g, seeds, 1, master_seed=seed)[0]
-
-
-def test_trajectory_red_layers_are_bfs_layers():
-    for seed in range(6):
-        g = gnm_random_graph(14, 18, seed + 90)    # unit weights: every edge live
-        seeds = [0, seed + 3]
-        adj = csr_matrix((np.ones(2 * g.m), g.nbrs, g.indptr), shape=(g.n, g.n))
-        hops = shortest_path(adj, unweighted=True, indices=seeds).min(axis=0)
-        out = run_cascade(g, seeds, seed=seed, record_trajectory=True)
-        assert out.rounds == int(hops[np.isfinite(hops)].max()) + 1
-        for t, snap in enumerate(out.trajectory):
-            assert np.array_equal(np.flatnonzero(snap.states == RED), np.flatnonzero(hops == t))
-
-
-def test_state_machine_invariants():
-    for seed in range(10):
-        g = with_random_weights(gnm_random_graph(12, 24, seed), seed)
-        seeds = SeedSet.of([seed % 12, (seed * 5) % 12])
-        out = run_cascade(g, seeds, seed=seed)
-        states = out.final_coloring.states
-        assert set(np.unique(states)) <= {WHITE, ORANGE}
-        assert np.all(states[seeds.nodes] == ORANGE)
-        assert out.orange_count >= seeds.size
-        assert out.rounds <= g.n + 1
 
 
 def test_estimate_unit_weights_exact():
@@ -187,6 +121,8 @@ def test_estimate_non_increasing_over_nested_blocked_sets():
 def test_estimate_empty_seed_set():
     mean, se = estimate_spread(P3, [], 10, master_seed=1)
     assert mean == 0.0 and se == 0.0
+    # a full seed set is all of the spread, whatever the weights
+    assert estimate_spread(HALF_P3, [0, 1, 2], 10, master_seed=1) == (3.0, 0.0)
 
 
 def test_estimate_rejects_zero_samples():
@@ -296,5 +232,52 @@ def test_sample_seed_set_sizes():
 
 
 def test_seed_validation():
-    with pytest.raises(ValueError):
-        run_cascade(P3, [99], seed=1)
+    for bad in ([99], [3], [-1], [0, 3]):
+        with pytest.raises(ValueError):
+            estimate_spread(P3, bad, 10, master_seed=1)
+    # non-integer node ids must not be truncated (0.9 would seed node 0,
+    # True node 1)
+    live = np.ones((P3.m, 1), dtype=bool)
+    for bad in ([0.9], [True], np.array([1.7, 2.2]), np.array([0.0])):
+        with pytest.raises(ValueError):
+            SeedSet.of(bad)
+        with pytest.raises(ValueError):
+            estimate_spreads(P3, bad, 4, 1, [()])
+        with pytest.raises(ValueError):
+            reach_counts(P3, live, bad)
+    assert SeedSet.of([]).size == 0 and SeedSet.of(np.array([], dtype=float)).size == 0
+    assert SeedSet.of(np.array([2, 0, 2], dtype=np.uint8)).nodes.tolist() == [0, 2]
+
+
+def _random_weighted_graph(rng):
+    n = int(rng.integers(2, 8))
+    m = int(rng.integers(1, min(12, n * (n - 1) // 2) + 1))
+    g = with_random_weights(gnm_random_graph(n, m, rng), rng)
+    # some certain edges, so that rounds with a sure firing occur too
+    w = g.w.copy()
+    w[rng.random(m) < 0.2] = 1.0
+    seeds = rng.choice(n, size=int(rng.integers(1, min(n, 3) + 1)), replace=False)
+    return g.with_weights(w), seeds
+
+
+def test_round_model_oracle_matches_live_edge_routes():
+    assert round_model_expected_spread(HALF_P3, [0]) == 1.75
+    two_red = from_edge_arrays(3, [0, 1], [2, 2], [0.5, 0.5])
+    assert round_model_expected_spread(two_red, [0, 1]) == 2.75
+    assert round_model_expected_spread(HALF_P3, []) == 0.0
+    # a node with no red neighbor stays white: node 2 is isolated
+    lone = from_edge_arrays(3, [0], [1], [1.0])
+    assert round_model_expected_spread(lone, [0]) == 2.0
+    assert estimate_spread(lone, [0], 10, master_seed=2) == (2.0, 0.0)
+    rng = np.random.default_rng(2024)
+    for i in range(200):
+        g, seeds = _random_weighted_graph(rng)
+        exact = round_model_expected_spread(g, seeds)
+        assert enumerate_spread_exact(g, seeds) == pytest.approx(exact, abs=1e-12), i
+        if i % 5:
+            continue
+        # the Monte Carlo route, with and without a blocked set (40 graphs)
+        blocked = np.flatnonzero(rng.random(g.m) < 0.3)
+        means, ses = estimate_spreads(g, seeds, 4000, i, [(), blocked])
+        for mean, se, h in zip(means, ses, (g, remove_edges(g, blocked))):
+            assert abs(mean - round_model_expected_spread(h, seeds)) <= 4 * se + 1e-12, i

@@ -173,8 +173,13 @@ def test_usage_and_runtime_errors(tmp_path, capsys):
                 *(["--network", name] for name in ("a,b", "a\nb", "a\rb", "../x", "a<b",
                                                    "a>b", "a&b"))):
         assert dispatch(evaluate + bad) == 1, bad
-    for bad in (["--k", "-1"], ["--k", "2", "--h1", "0"], ["--budget-frac", "2"]):
-        assert dispatch(["block", *missing, "--strategy", "deg", *bad]) == 1, bad
+    sweep = (["--resolution", "nan"], ["--resolution", "inf"], ["--resolution", "0"],
+             ["--factor", "nan"], ["--factor", "inf"], ["--factor", "1"])
+    for bad in sweep:
+        assert dispatch(evaluate + bad) == 1, bad
+    for bad in (["--k", "-1"], ["--k", "2", "--h1", "0"], ["--budget-frac", "2"],
+                *(["--k", "20", *flags] for flags in sweep)):
+        assert dispatch(["block", *missing, "--strategy", "community", *bad]) == 1, bad
     for bad in (["--samples", "0"], ["--seed-fraction", "0"]):
         assert dispatch(["simulate", *missing, *bad]) == 1, bad
     assert dispatch(["hardness", "verify", *missing, "--k", "0"]) == 1

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -119,10 +121,14 @@ def test_sweep_guard_paths():
 
 
 def test_sweep_param_validation():
-    with pytest.raises(ValueError):
-        SweepParams(resolution=0.0)
-    with pytest.raises(ValueError):
-        SweepParams(factor=1.0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SweepParams(resolution=bad)
+        with pytest.raises(ValueError):
+            louvain_partition(TT, bad, rng_for(1, 0))
+    for bad in (1.0, 0.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SweepParams(factor=bad)
     with pytest.raises(ValueError):
         SweepParams(h1=0)
     with pytest.raises(ValueError):

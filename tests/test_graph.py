@@ -11,7 +11,6 @@ from edgeblock.generators import gnm_random_graph, with_random_weights
 from edgeblock.graph import (
     ParseError,
     assign_jaccard_weights,
-    edge_ids_for_pairs,
     from_edge_arrays,
     girth,
     graph_stats,
@@ -42,6 +41,14 @@ def test_parse_comments_and_string_labels():
     g = parse_edge_list(b"# header\n% other\nalice bob\nbob carol\n")
     assert (g.n, g.m) == (3, 2)
     assert g.labels == ("alice", "bob", "carol")
+    # only a canonically written integer becomes an int label, so 05 and 5
+    # stay two nodes, through a write and a re-parse too
+    g = parse_edge_list(b"05 1\n5 2\n--5 +5\n-0 -7\n")
+    assert g.labels == ("05", 1, 5, 2, "--5", "+5", "-0", -7)
+    buf = io.StringIO()
+    write_edge_list(g, buf)
+    g2 = parse_edge_list(buf.getvalue().encode())
+    assert (g2.n, g2.m, g2.labels) == (g.n, g.m, g.labels)
 
 
 def test_parse_weight_column():
@@ -226,11 +233,11 @@ def test_remove_edges_basics():
 
 def test_remove_edges_composition():
     g = with_random_weights(gnm_random_graph(12, 26, 8), 8)
-    pairs1 = [(int(g.eu[e]), int(g.ev[e])) for e in (0, 5, 9)]
-    pairs2 = [(int(g.eu[e]), int(g.ev[e])) for e in (2, 11)]
-    joint = remove_edges(g, edge_ids_for_pairs(g, pairs1 + pairs2))
-    step1 = remove_edges(g, edge_ids_for_pairs(g, pairs1))
-    step2 = remove_edges(step1, edge_ids_for_pairs(step1, pairs2))
+    joint = remove_edges(g, [0, 5, 9, 2, 11])
+    step1 = remove_edges(g, [0, 5, 9])
+    # ids stay canonical: edge 2 is now id 1 and edge 11 is id 8
+    assert [step1.edge_tuple(e) for e in (1, 8)] == [g.edge_tuple(e) for e in (2, 11)]
+    step2 = remove_edges(step1, [1, 8])
     assert joint.same_structure(step2)
 
 
