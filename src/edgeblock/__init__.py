@@ -28,6 +28,7 @@ from .community import (
     louvain_partition,
     modularity,
     resolution_sweep,
+    sweep_trace,
 )
 from .evaluation import (
     ContainmentReport,

@@ -9,7 +9,9 @@ the unweighted structure is used: edge weights do not enter Q.
 
 The sweep grows the resolution geometrically, re-running Louvain several
 times per step (the algorithm is seeded-random), and keeps the largest
-inter-community edge set that still fits the blocking budget.
+inter-community edge set that still fits the blocking budget.  One walk,
+keeping only each run's resolution and cut size, answers every budget up to
+the largest; each answer reruns the one Louvain run it picks.
 """
 
 from __future__ import annotations
@@ -205,39 +207,56 @@ class SweepParams:
             raise ValueError("budget must be nonnegative")
 
 
-def resolution_sweep(g: Graph, params: SweepParams, return_trace: bool = False):
-    """Largest inter-community edge set within the budget.
+def sweep_trace(g: Graph, params: SweepParams) -> list:
+    """``(resolution, cut size)`` of each Louvain run of the sweep, in walk order.
 
     Walks the resolution upward by ``factor``; at each step runs Louvain
-    ``h2`` times and keeps the biggest edge set not exceeding the budget.
-    The stop counter advances each step whose last candidate overflowed
-    the budget, and the loop ends once it exceeds ``h1``.  Returns sorted
-    edge ids, of size at most the budget and possibly empty.
+    ``h2`` times, run ``inner`` of step ``outer`` on the stream
+    (master_seed, outer, inner).  The stop counter advances each step
+    whose last run cut more than ``params.budget`` edges, and the walk
+    ends once it exceeds ``h1``, or at the first resolution that is not
+    finite (there every node is alone, so the cut is all m edges and can
+    only overflow).  A budget of m or more walks nothing.
+    """
+    k, trace, r, count = params.budget, [], params.resolution, 0
+    while k < g.m and count <= params.h1 and math.isfinite(r):
+        outer = len(trace) // params.h2
+        for inner in range(params.h2):
+            part = louvain_partition(g, r, rng_for(params.master_seed, outer, inner))
+            trace.append((r, int(inter_community_edges(g, part).shape[0])))
+        count += trace[-1][1] > k
+        r *= params.factor
+    return trace
+
+
+def resolution_sweep(g: Graph, params: SweepParams, trace=None) -> np.ndarray:
+    """Largest inter-community edge set within the budget.
+
+    Picks the largest cut within the budget, the first on ties, from the
+    :func:`sweep_trace` walk up to ``params.budget``'s stop, then reruns
+    that Louvain run for its edge ids.  ``trace`` may be the walk of any
+    larger budget on the same parameters: a step that overflows it
+    overflows this budget too, so this walk is its prefix.  Without
+    ``trace`` the sweep walks its own.  Returns sorted edge ids, at most
+    the budget and possibly none; every edge when the budget is m or more.
     """
     k = params.budget
     if k >= g.m:
-        result = np.arange(g.m, dtype=np.int64)
-        return (result, []) if return_trace else result
-
-    best = np.zeros(0, dtype=np.int64)
-    trace = []
-    r = params.resolution
-    count = 0
-    outer = 0
-    while count <= params.h1:
-        last_overflow = False
-        for inner in range(params.h2):
-            rng = rng_for(params.master_seed, outer, inner)
-            part = louvain_partition(g, r, rng)
-            cand = inter_community_edges(g, part)
-            size = int(cand.shape[0])
-            if return_trace:
-                trace.append((r, size))
-            if best.shape[0] < size <= k:
-                best = cand
-            last_overflow = size > k
-        r *= params.factor
-        if last_overflow:
-            count += 1
-        outer += 1
-    return (best, trace) if return_trace else best
+        return np.arange(g.m, dtype=np.int64)
+    if trace is None:
+        trace = sweep_trace(g, params)
+    best, best_size, count = None, 0, 0
+    for i, (_, size) in enumerate(trace):
+        if best_size < size <= k:
+            best, best_size = i, size
+        if i % params.h2 == params.h2 - 1:
+            count += size > k
+            if count > params.h1:
+                break
+    else:   # no stop: the walk must have reached a non-finite resolution
+        if not trace or math.isfinite(trace[-1][0] * params.factor):
+            raise ValueError("trace ends before this budget's sweep stops")
+    if best is None:
+        return np.zeros(0, dtype=np.int64)
+    rng = rng_for(params.master_seed, best // params.h2, best % params.h2)
+    return inter_community_edges(g, louvain_partition(g, trace[best][0], rng))

@@ -4,7 +4,8 @@ Strategies own their seeding: :func:`blocked_sets` derives every stream
 from the master seed and answers a list of budgets.  A baseline scores
 every edge once on the original graph and blocks the top k per budget, ties
 broken by ascending canonical edge id.  The community strategy has no edge
-scores; it runs one resolution sweep per budget.
+scores; one resolution walk, to the largest budget's stop, answers every
+budget.
 """
 
 from __future__ import annotations
@@ -68,29 +69,31 @@ def top_k_edges(scores: np.ndarray, k: int) -> np.ndarray:
 
 
 def check_sweep(sweep) -> None:
-    """Reject a sweep that sets budget or master_seed: :func:`blocked_sets` derives both."""
+    """Reject a sweep that sets budget or master_seed: :func:`blocked_sets` sets both."""
     unset = community_mod.SweepParams()
     if sweep is not None and (sweep.budget, sweep.master_seed) != (unset.budget, unset.master_seed):
-        raise ValueError("a sweep's budget and master_seed are derived per budget; leave them unset")
+        raise ValueError("blocked_sets sets a sweep's budget and master_seed; leave them unset")
 
 
 def blocked_sets(g: Graph, strategy: str, ks, master_seed: int, sweep=None) -> list:
     """Blocked edge ids for each budget in ``ks``, seeding derived internally.
 
     A score strategy scores once, on the stream (TAG_STRATEGY, code), and
-    takes the top k for each k.  The community strategy runs one resolution
-    sweep per k with ``sweep``'s parameters (defaults otherwise), seeded
-    from (TAG_SWEEP, k).
+    takes the top k for each k.  The community strategy walks the resolution
+    sweep once, seeded from (TAG_SWEEP,) with ``sweep``'s parameters
+    (defaults otherwise), to the stop of the largest k below m, and answers
+    each k from that walk: the same ids as a one-budget sweep on that seed.
     """
     code = strategy_code(strategy)
     check_sweep(sweep)
     if any(k < 0 for k in ks):
         raise ValueError("k must be nonnegative")
     if strategy == "community":
-        base = sweep if sweep is not None else community_mod.SweepParams()
-        seeds = [int(seed_sequence(master_seed, TAG_SWEEP, k).generate_state(1)[0]) for k in ks]
-        return [community_mod.resolution_sweep(g, replace(base, budget=k, master_seed=s))
-                for k, s in zip(ks, seeds)]
+        seed = int(seed_sequence(master_seed, TAG_SWEEP).generate_state(1)[0])
+        base = replace(sweep if sweep is not None else community_mod.SweepParams(), master_seed=seed)
+        walked = max([k for k in ks if k < g.m], default=g.m)
+        trace = community_mod.sweep_trace(g, replace(base, budget=walked))
+        return [community_mod.resolution_sweep(g, replace(base, budget=k), trace) for k in ks]
     scores = score_edges(g, strategy, rng=rng_for(master_seed, TAG_STRATEGY, code))
     return [top_k_edges(scores, k) for k in ks]
 

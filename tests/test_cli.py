@@ -68,6 +68,14 @@ def test_block_writes_edges(planted, tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 5
 
 
+def test_block_community_stops_at_non_finite_resolution(planted, capsys):
+    # 1e307 * 100 overflows to inf: the sweep stops there, and the one
+    # step before it cut every edge, so nothing fits k = 20
+    assert dispatch(["block", "--graph", planted, "--strategy", "community", "--k", "20",
+                     "--resolution", "1e307", "--factor", "100"]) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_block_requires_one_budget_form(path3, capsys):
     assert dispatch(["block", "--graph", path3, "--strategy", "hwt"]) == 1
     assert dispatch(["block", "--graph", path3, "--strategy", "hwt",

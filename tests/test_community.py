@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from edgeblock.community import (
     louvain_partition,
     modularity,
     resolution_sweep,
+    sweep_trace,
 )
-from edgeblock.generators import gnm_random_graph, planted_partition
+from edgeblock.generators import gnm_random_graph, planted_partition, random_connected_graph
 from edgeblock.graph import from_edge_arrays
 from edgeblock.seeding import rng_for
 from oracle_utils import best_modularity_exhaustive
@@ -154,9 +156,60 @@ def test_sweep_returns_max_within_budget():
     g = planted_partition(3, 6, 0.8, 0.1, 13)
     params = SweepParams(resolution=0.05, factor=1.2, h1=3, h2=3, budget=g.m // 3,
                          master_seed=5)
-    out, trace = resolution_sweep(g, params, return_trace=True)
+    trace = sweep_trace(g, params)
+    out = resolution_sweep(g, params, trace)
     sizes_ok = [s for _, s in trace if s <= params.budget]
     assert out.size == max(sizes_ok, default=0)
+
+
+def test_shared_walk_matches_one_budget_sweeps():
+    # acceptance-09's three graph families: every budget answered from the
+    # largest budget's walk equals that budget's own sweep, and each
+    # budget's walk is a prefix of the largest one's
+    rng = np.random.default_rng(9)
+    for trial in range(30):
+        if trial % 3 == 0:
+            n = int(rng.integers(5, 30))
+            m = int(rng.integers(4, min(50, n * (n - 1) // 2) + 1))
+            g = gnm_random_graph(n, m, int(rng.integers(1 << 30)))
+        elif trial % 3 == 1:
+            g = planted_partition(int(rng.integers(2, 4)), int(rng.integers(4, 8)),
+                                  0.7, 0.05, int(rng.integers(1 << 30)))
+        else:
+            g = random_connected_graph(int(rng.integers(4, 20)),
+                                       int(rng.integers(0, 6)), int(rng.integers(1 << 30)))
+        base = SweepParams(resolution=0.05, factor=1.3, h1=2, h2=2, master_seed=trial)
+        ks = sorted({0, g.m - 1, g.m, *(int(k) for k in rng.integers(1, g.m, 3))})
+        walked = max(k for k in ks if k < g.m)
+        trace = sweep_trace(g, replace(base, budget=walked))
+        assert len(trace) % base.h2 == 0
+        for k in ks:
+            params = replace(base, budget=k)
+            own = sweep_trace(g, params)
+            assert own == trace[:len(own)] and (own == []) == (k >= g.m)
+            shared = resolution_sweep(g, params, trace)
+            assert shared.dtype == np.int64
+            assert np.array_equal(shared, resolution_sweep(g, params))
+
+
+def test_sweep_stops_at_non_finite_resolution():
+    # 1e307 * 100 overflows to inf after one step; at 1e307 every node is
+    # alone, so that step cuts all m > k edges and nothing fits
+    params = SweepParams(resolution=1e307, factor=100.0, h1=5, h2=3, budget=2, master_seed=4)
+    trace = sweep_trace(TT, params)
+    assert trace == [(1e307, TT.m)] * 3
+    assert resolution_sweep(TT, params).size == 0
+    assert resolution_sweep(TT, params, trace).size == 0
+
+
+def test_sweep_rejects_a_trace_that_stops_short():
+    g = planted_partition(3, 6, 0.8, 0.1, 13)
+    params = SweepParams(resolution=0.05, factor=1.2, h1=2, h2=2, budget=g.m // 3, master_seed=5)
+    trace = sweep_trace(g, params)
+    assert resolution_sweep(g, params, trace).size <= params.budget
+    for short in ([], trace[:params.h2]):
+        with pytest.raises(ValueError):
+            resolution_sweep(g, params, short)
 
 
 def test_sweep_deterministic():

@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from edgeblock.community import SweepParams, resolution_sweep
+from edgeblock import community
+from edgeblock.community import SweepParams, resolution_sweep, sweep_trace
 from edgeblock.generators import gnm_random_graph, planted_partition, with_random_weights
 from edgeblock.graph import assign_jaccard_weights, from_edge_arrays, parse_edge_list
 from edgeblock.seeding import TAG_STRATEGY, TAG_SWEEP, rng_for, seed_sequence
@@ -153,7 +154,7 @@ def test_blocked_sets_match_single_budget_calls():
         for k, ids in zip(ks, sets):
             assert np.array_equal(ids, blocked_edges(g, strat, k, 10, sweep=sweep))
             if strat == "community":
-                seed = int(seed_sequence(10, TAG_SWEEP, k).generate_state(1)[0])
+                seed = int(seed_sequence(10, TAG_SWEEP).generate_state(1)[0])
                 ref = resolution_sweep(g, replace(sweep, budget=k, master_seed=seed))
             else:
                 rng = rng_for(10, TAG_STRATEGY, strategy_code(strat))
@@ -162,6 +163,32 @@ def test_blocked_sets_match_single_budget_calls():
     for strat in ("deg", "community"):
         with pytest.raises(ValueError):
             blocked_sets(g, strat, [2, -1], 10, sweep=sweep)
+
+
+def test_community_walks_once_for_all_budgets(monkeypatch):
+    # one walk to the largest budget's stop, plus one rerun per budget whose
+    # pick is not empty, where per-budget sweeps walk once per budget
+    g = planted_partition(4, 20, 0.6, 0.02, 105)   # the acceptance-08 graph
+    sweep = SweepParams(resolution=0.05, factor=1.2, h1=2, h2=2)
+    ks = [0, 5, 26, 51, 77, 103]
+    runs = []
+    real = community.louvain_partition
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(community, "louvain_partition", counted)
+    sets = blocked_sets(g, "community", ks, 10, sweep=sweep)
+    shared_runs = len(runs)
+    base = replace(sweep, master_seed=int(seed_sequence(10, TAG_SWEEP).generate_state(1)[0]))
+    walk = sweep_trace(g, replace(base, budget=max(ks)))
+    picked = sum(ids.size > 0 for ids in sets)
+    assert 0 < picked < len(ks) and shared_runs == len(walk) + picked
+    runs.clear()
+    for k in ks:
+        resolution_sweep(g, replace(base, budget=k))
+    assert shared_runs < len(runs)
 
 
 def test_deterministic_for_fixed_strategy_and_seed():
