@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, checked_edge_ids, integer_ids
+from .graph import Graph, checked_edge_ids, csr_index, integer_ids
 from .seeding import as_rng, rng_for
 
 _MAX_ENUM_EDGES = 25
@@ -65,9 +65,10 @@ def _seed_array(g: Graph, seeds) -> np.ndarray:
 
 def _in_arcs(g: Graph, arcs=None):
     """Arcs grouped by head, ``(indptr, tails, edge ids)``: the arcs into
-    node v are ``indptr[v]:indptr[v + 1]``.  Every edge conducts both ways
-    when ``arcs`` is None (g's own CSR, whose row v lists the arcs into v);
-    otherwise edge e is the single arc ``arcs[e, 0] -> arcs[e, 1]``."""
+    node v are ``indptr[v]:indptr[v + 1]``, sorted by tail.  Every edge
+    conducts both ways when ``arcs`` is None (g's own CSR, whose row v
+    lists the arcs into v); otherwise edge e is the single arc
+    ``arcs[e, 0] -> arcs[e, 1]``."""
     if arcs is None:
         return g.indptr, g.nbrs, g.adj_eid
     arcs = np.asarray(arcs, dtype=np.int64)
@@ -75,9 +76,7 @@ def _in_arcs(g: Graph, arcs=None):
         raise ValueError("arcs must hold one (tail, head) pair per edge")
     if not np.array_equal(np.sort(arcs, axis=1), np.stack([g.eu, g.ev], axis=1)):
         raise ValueError("arcs must orient the graph's own edges, in edge-id order")
-    order = np.argsort(arcs[:, 1], kind="stable")
-    indptr = np.searchsorted(arcs[order, 1], np.arange(g.n + 1))
-    return indptr, arcs[order, 0], order
+    return csr_index(g.n, arcs[:, 1], arcs[:, 0])
 
 
 def reach_counts(g: Graph, live: np.ndarray, seeds, arcs=None) -> np.ndarray:

@@ -61,7 +61,7 @@ def node_closeness(g: Graph, weighted: bool = False) -> np.ndarray:
     n = g.n
     if n <= 1:
         return np.zeros(n)
-    reach, sumd, _ = distance_stats(g, 1.0 - g.adj_w if weighted else None)
+    reach, sumd, _ = distance_stats(g, 1.0 - g.w[g.adj_eid] if weighted else None)
     out = np.zeros(n)
     pos = sumd > 0.0
     out[pos] = (reach[pos] - 1.0) ** 2 / ((n - 1.0) * sumd[pos])
@@ -91,7 +91,7 @@ def _betweenness_weighted(g: Graph) -> np.ndarray:
     equals dist[w] exactly, which keeps the shortest-path DAG acyclic.
     """
     indptr, nbrs, eids = g.indptr.tolist(), g.nbrs.tolist(), g.adj_eid.tolist()
-    length = (1.0 - g.adj_w).tolist()
+    length = (1.0 - g.w[g.adj_eid]).tolist()
     bc = [0.0] * g.m
     for s in range(g.n):
         dist, sigma, pos = [math.inf] * g.n, [0.0] * g.n, [-1] * g.n

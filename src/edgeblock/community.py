@@ -46,14 +46,8 @@ class Partition:
 
 def _dense_relabel(labels: np.ndarray) -> np.ndarray:
     """Relabel community ids densely by first occurrence in node order."""
-    out = np.empty_like(labels)
-    mapping: dict[int, int] = {}
-    for i, c in enumerate(labels):
-        c = int(c)
-        if c not in mapping:
-            mapping[c] = len(mapping)
-        out[i] = mapping[c]
-    return out
+    _, first, inv = np.unique(labels, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inv]
 
 
 def modularity(g: Graph, partition: Partition, resolution: float = 1.0) -> float:
@@ -83,20 +77,11 @@ def _aggregate(labels, eu, ev, w, loops):
     np.add.at(new_loops, labels, loops)
     same = cu == cv
     np.add.at(new_loops, cu[same], w[same])
-    lo = np.minimum(cu[~same], cv[~same])
-    hi = np.maximum(cu[~same], cv[~same])
-    if lo.size:
-        keys = lo * nc + hi
-        uniq, inv = np.unique(keys, return_inverse=True)
-        new_w = np.zeros(uniq.size)
-        np.add.at(new_w, inv, w[~same])
-        new_eu = (uniq // nc).astype(np.int64)
-        new_ev = (uniq % nc).astype(np.int64)
-    else:
-        new_eu = np.zeros(0, dtype=np.int64)
-        new_ev = np.zeros(0, dtype=np.int64)
-        new_w = np.zeros(0)
-    return new_eu, new_ev, new_w, new_loops
+    keys = np.minimum(cu[~same], cv[~same]) * nc + np.maximum(cu[~same], cv[~same])
+    uniq, inv = np.unique(keys, return_inverse=True)
+    new_w = np.zeros(uniq.size)
+    np.add.at(new_w, inv, w[~same])
+    return uniq // nc, uniq % nc, new_w, new_loops
 
 
 def _local_moving(indptr, nbrs, w, node_k, order, gamma, two_m) -> np.ndarray:
@@ -157,7 +142,7 @@ def louvain_partition(g: Graph, resolution: float, rng) -> Partition:
     size = g.n
 
     while True:
-        indptr, nbrs, adj_w = csr_index(size, eu, ev, w)
+        indptr, nbrs, slot = csr_index(size, np.concatenate([eu, ev]), np.concatenate([ev, eu]))
         node_k = np.zeros(size)
         np.add.at(node_k, eu, w)
         np.add.at(node_k, ev, w)
@@ -166,8 +151,8 @@ def louvain_partition(g: Graph, resolution: float, rng) -> Partition:
         if two_m == 0.0:
             break
         order = rng.permutation(size)
-        labels = _dense_relabel(_local_moving(indptr, nbrs, adj_w, node_k, order,
-                                              float(resolution), two_m))
+        labels = _dense_relabel(_local_moving(indptr, nbrs, w[slot % w.size], node_k,
+                                              order, float(resolution), two_m))
         ncomm = int(labels.max()) + 1
         mapping = labels[mapping]
         if ncomm == size:

@@ -3,9 +3,10 @@
 Nodes are dense integers ``0..n-1`` (original file ids are kept in a side
 label map).  Edges are stored once with ``u < v`` in lexicographic order;
 the position in that order is the canonical edge id used everywhere.  A CSR
-adjacency index (sorted neighbor rows, per-slot weight and edge id) backs
-the kernels.  Instances are frozen and their arrays are marked read-only,
-so they are safe to share across threads.
+adjacency index (neighbor rows sorted by id, each slot holding its edge id)
+backs the kernels; per-edge values such as weights stay in edge order and
+are gathered through the slot ids.  Instances are frozen and their arrays
+are marked read-only, so they are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import gzip
 import io
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +52,6 @@ class Graph:
     w: np.ndarray           # float64[m], weights in (0, 1]
     indptr: np.ndarray      # int64[n+1] CSR row pointers
     nbrs: np.ndarray        # int64[2m] neighbor ids, sorted within each row
-    adj_w: np.ndarray       # float64[2m] weight per adjacency slot
     adj_eid: np.ndarray     # int64[2m] edge id per adjacency slot
     labels: tuple | None = field(default=None, compare=False)
 
@@ -78,11 +78,9 @@ class Graph:
         return self.nbrs[self.indptr[v]:self.indptr[v + 1]]
 
     def with_weights(self, w: np.ndarray) -> "Graph":
-        """Same structure, new per-edge weights."""
-        w = np.asarray(w, dtype=np.float64)
-        if w.shape != (self.m,):
-            raise ValueError("weight array must have one entry per edge")
-        return from_edge_arrays(self.n, self.eu.copy(), self.ev.copy(), w, labels=self.labels)
+        """Same structure, new per-edge weights; the read-only structure
+        arrays are shared, not copied."""
+        return replace(self, w=_freeze(np.array(_checked_weights(w, self.m))))
 
     def same_structure(self, other: "Graph") -> bool:
         """Structural equality: node count, edge pairs and exact weights."""
@@ -98,20 +96,29 @@ class Graph:
         return self.labels[v] if self.labels is not None else v
 
 
-def csr_index(n, eu, ev, *per_edge):
-    """Undirected CSR over n nodes: ``(indptr, nbrs, *per_slot)``.
+def csr_index(n, rows, cols):
+    """CSR over n rows of the pairs (rows[i], cols[i]): ``(indptr, cols
+    sorted within each row, the pair index of each slot)``.
 
-    Each edge (eu[e], ev[e]) gets a slot in both endpoint rows, rows are
-    sorted by neighbor id, and every array in ``per_edge`` is copied to the
-    slots of its edge.
+    A slot holds only its pair index, so per-pair values stay in pair order
+    and are gathered through it.  An undirected graph lists each edge twice,
+    once from each endpoint.
     """
-    half = np.concatenate([eu, ev])
-    other = np.concatenate([ev, eu])
-    order = np.lexsort((other, half))
+    order = np.lexsort((cols, rows))
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, half + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return (indptr, other[order], *(np.concatenate([a, a])[order] for a in per_edge))
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols[order], order
+
+
+def _checked_weights(w, m) -> np.ndarray:
+    """w as float64; ValueError unless it holds one weight per edge, each in
+    (0, 1], which NaN is not."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape != (m,):
+        raise ValueError("weight array must have one entry per edge")
+    if not np.all((w > 0.0) & (w <= 1.0)):
+        raise ValueError("edge weights must lie in (0, 1]")
+    return w
 
 
 def from_edge_arrays(n, eu, ev, w=None, labels=None) -> Graph:
@@ -126,19 +133,12 @@ def from_edge_arrays(n, eu, ev, w=None, labels=None) -> Graph:
     m = eu.shape[0]
     if ev.shape[0] != m:
         raise ValueError("endpoint arrays differ in length")
-    if w is None:
-        w = np.ones(m)
-    else:
-        w = np.asarray(w, dtype=np.float64)
-        if w.shape[0] != m:
-            raise ValueError("weight array length mismatch")
+    w = np.ones(m) if w is None else _checked_weights(w, m)
     if m > 0:
         if eu.min() < 0 or max(eu.max(), ev.max()) >= n:
             raise ValueError("endpoint out of range")
         if np.any(eu == ev):
             raise ValueError("self-loops are not allowed")
-        if np.any(w <= 0.0) or np.any(w > 1.0):
-            raise ValueError("edge weights must lie in (0, 1]")
     lo = np.minimum(eu, ev)
     hi = np.maximum(eu, ev)
     order = np.lexsort((hi, lo))
@@ -148,7 +148,7 @@ def from_edge_arrays(n, eu, ev, w=None, labels=None) -> Graph:
         if np.any(dup):
             raise ValueError("duplicate edges are not allowed")
 
-    indptr, nbrs, adj_w, adj_eid = csr_index(n, lo, hi, w, np.arange(m))
+    indptr, nbrs, slot = csr_index(n, np.concatenate([lo, hi]), np.concatenate([hi, lo]))
     return Graph(
         n=int(n),
         eu=_freeze(lo),
@@ -156,8 +156,7 @@ def from_edge_arrays(n, eu, ev, w=None, labels=None) -> Graph:
         w=_freeze(w),
         indptr=_freeze(indptr),
         nbrs=_freeze(nbrs),
-        adj_w=_freeze(adj_w),
-        adj_eid=_freeze(adj_eid),
+        adj_eid=_freeze(slot % m),
         labels=tuple(labels) if labels is not None else None,
     )
 
@@ -342,11 +341,16 @@ def distance_stats(g: Graph, lengths=None):
 
 
 def is_connected(g: Graph) -> bool:
-    """Whether g has at most one connected component."""
+    """Whether g has at most one connected component.
+
+    The CSR lists each edge in both endpoint rows, so the strong components
+    of its directed view are g's components; scipy finds those without the
+    transpose its undirected mode builds, which dominates on small graphs.
+    """
     from scipy.sparse import csgraph
 
     a = adjacency(g, np.ones(2 * g.m))
-    return csgraph.connected_components(a, directed=False, return_labels=False) <= 1
+    return csgraph.connected_components(a, connection="strong", return_labels=False) <= 1
 
 
 def assign_jaccard_weights(g: Graph) -> Graph:

@@ -193,7 +193,8 @@ class ReductionCheck:
 
 
 def verify_reduction(h: Graph, k: int, construction: str = "undirected") -> ReductionCheck:
-    """Check the optimum identity for one (graph, k) instance.
+    """Check the optimum identity for one (graph, k) instance of a
+    connected graph h (ValueError otherwise).
 
     Below the girth: densest optimum must equal k - 1.  Otherwise: build
     the hub expansion in the given construction and check
@@ -204,6 +205,8 @@ def verify_reduction(h: Graph, k: int, construction: str = "undirected") -> Redu
         raise ValueError("k must be >= 1")
     if k > h.n:
         raise ValueError("k must not exceed the node count")
+    if not is_connected(h):
+        raise ValueError("source graph must be connected")
     gr = girth(h)
     if k < gr:
         ds = brute_force_densest_subgraph(h, k)

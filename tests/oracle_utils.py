@@ -226,7 +226,7 @@ def round_model_expected_spread(g, seeds):
     every subset of newly red nodes.  No live-edge view is used, so this
     checks the live-edge equivalence rather than assuming it (n small).
     """
-    nbrs = [[(int(g.nbrs[j]), float(g.adj_w[j])) for j in range(g.indptr[v], g.indptr[v + 1])]
+    nbrs = [[(int(g.nbrs[j]), float(g.w[g.adj_eid[j]])) for j in range(g.indptr[v], g.indptr[v + 1])]
             for v in range(g.n)]
 
     @functools.cache

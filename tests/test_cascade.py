@@ -196,6 +196,17 @@ def test_reach_counts_match_bfs_oracle():
             assert reach_counts(g, live, seeds, arcs).tolist() == oracle, (g.m, masks)
 
 
+def test_in_arcs_of_directed_k4_expansion():
+    h = from_edge_arrays(4, [0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3])
+    inst = expand_to_blocking_instance(h, "directed")
+    indptr, tails, eids = cascade_mod._in_arcs(inst.graph, inst.arcs)
+    for v in range(inst.graph.n):
+        row = slice(indptr[v], indptr[v + 1])
+        assert sorted(eids[row]) == np.flatnonzero(inst.arcs[:, 1] == v).tolist()
+        assert tails[row].tolist() == inst.arcs[eids[row], 0].tolist()
+        assert tails[row].tolist() == sorted(tails[row])
+
+
 def test_spread_bounds():
     for seed in range(8):
         g = with_random_weights(gnm_random_graph(9, 14, seed + 40), seed)

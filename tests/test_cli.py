@@ -137,6 +137,15 @@ def test_hardness_verify(tmp_path, capsys):
     assert "pass" in out and "below_girth" in out
 
 
+def test_hardness_disconnected_source_exits_2(tmp_path, capsys):
+    p = tmp_path / "two_edges.txt"
+    p.write_text("0 1\n2 3\n")
+    assert dispatch(["hardness", "verify", "--graph", str(p), "--k", "3"]) == 2
+    captured = capsys.readouterr()
+    assert "source graph must be connected" in captured.err
+    assert "FAIL" not in captured.out
+
+
 def test_hardness_sweep(capsys):
     assert dispatch(["hardness", "verify", "--sweep-all-small", "3"]) == 0
     out = capsys.readouterr().out

@@ -105,6 +105,30 @@ def test_constructor_rejects_bad_input():
         from_edge_arrays(2, [0], [1], [1.5])   # weight > 1
 
 
+def test_nan_weights_rejected():
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        from_edge_arrays(3, [0, 1], [1, 2], [math.nan, 0.5])
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        P3.with_weights([math.nan, 1.0])
+
+
+def test_with_weights_shares_structure():
+    g = gnm_random_graph(12, 30, 4)
+    w = np.linspace(0.1, 1.0, g.m)
+    h = g.with_weights(w)
+    for name in ("indptr", "nbrs", "adj_eid", "eu", "ev"):
+        assert getattr(h, name) is getattr(g, name)
+    assert h.labels == g.labels and not h.w.flags.writeable
+    w[0] = 0.5                                 # the graph holds its own copy
+    assert h.w[0] == 0.1
+    rebuilt = from_edge_arrays(g.n, g.eu, g.ev, h.w, g.labels)
+    assert h.same_structure(rebuilt)
+    for name in ("indptr", "nbrs", "adj_eid"):
+        assert np.array_equal(getattr(h, name), getattr(rebuilt, name))
+    with pytest.raises(ValueError):
+        g.with_weights(w[:-1])
+
+
 def test_arrays_read_only():
     with pytest.raises(ValueError):
         K3.w[0] = 0.5
@@ -249,6 +273,6 @@ def test_adjacency_consistent_with_edges():
             u = int(g.nbrs[j])
             e = int(g.adj_eid[j])
             assert {int(g.eu[e]), int(g.ev[e])} == {u, v}
-            assert g.adj_w[j] == g.w[e]
+            assert g.w[g.adj_eid[j]] == g.w[e]
             seen.add(e)
     assert seen == set(range(g.m))

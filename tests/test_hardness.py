@@ -272,6 +272,12 @@ def test_verify_validation():
         verify_reduction(K3, 4)
 
 
+def test_verify_requires_connected_source():
+    two_edges = from_edge_arrays(4, [0, 2], [1, 3])     # acyclic: below girth for any k
+    with pytest.raises(ValueError, match="connected"):
+        verify_reduction(two_edges, 3)
+
+
 def test_sweep_size_rejected_before_any_check(monkeypatch):
     calls = []
     real = hardness_mod.verify_reduction

@@ -46,7 +46,7 @@ def test_helpers_match_array_kernels(name, monkeypatch):
     g = _graph(GRAPHS[name])
     assert girth(g) == (girth_bfs(g.indptr, g.nbrs) or math.inf)
 
-    ref = edge_betweenness_weighted(g.indptr, g.nbrs, 1.0 - g.adj_w, g.adj_eid, g.m)
+    ref = edge_betweenness_weighted(g.indptr, g.nbrs, 1.0 - g.w[g.adj_eid], g.adj_eid, g.m)
     assert edge_betweenness(g, weighted=True).tobytes() == ref.tobytes()
 
     labels = _louvain_labels(g)
