@@ -12,6 +12,9 @@ times per step (the algorithm is seeded-random), and keeps the largest
 inter-community edge set that still fits the blocking budget.  One walk,
 keeping only each run's resolution and cut size, answers every budget up to
 the largest; each answer reruns the one Louvain run it picks.
+
+Every Louvain level is plain Python lists, per node its ``(neighbor,
+weight)`` pairs and its degree; a walk builds level 0 once and shares it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, csr_index
+from .graph import Graph
 from .seeding import DEFAULT_SEED, as_rng, rng_for
 
 
@@ -44,12 +47,6 @@ class Partition:
         return int(self.labels.max()) + 1 if self.labels.size else 0
 
 
-def _dense_relabel(labels: np.ndarray) -> np.ndarray:
-    """Relabel community ids densely by first occurrence in node order."""
-    _, first, inv = np.unique(labels, return_index=True, return_inverse=True)
-    return np.argsort(np.argsort(first))[inv]
-
-
 def modularity(g: Graph, partition: Partition, resolution: float = 1.0) -> float:
     """Direct evaluation of Q for the given partition."""
     labels = partition.labels
@@ -69,33 +66,41 @@ def modularity(g: Graph, partition: Partition, resolution: float = 1.0) -> float
     return float((intra / total - resolution * (dtot / (2.0 * total)) ** 2).sum())
 
 
-def _aggregate(labels, eu, ev, w, loops):
-    nc = int(labels.max()) + 1
-    cu = labels[eu]
-    cv = labels[ev]
-    new_loops = np.zeros(nc)
-    np.add.at(new_loops, labels, loops)
-    same = cu == cv
-    np.add.at(new_loops, cu[same], w[same])
-    keys = np.minimum(cu[~same], cv[~same]) * nc + np.maximum(cu[~same], cv[~same])
-    uniq, inv = np.unique(keys, return_inverse=True)
-    new_w = np.zeros(uniq.size)
-    np.add.at(new_w, inv, w[~same])
-    return uniq // nc, uniq % nc, new_w, new_loops
+def _level0(g: Graph):
+    """Louvain's level 0 of g, ``(adj, node_k, two_m)``: v's ``(neighbor, 1.0)``
+    pairs in CSR slot order, the degrees and 2m.  Read only, so runs share it."""
+    indptr, nbrs = g.indptr.tolist(), g.nbrs.tolist()
+    adj = [[(u, 1.0) for u in nbrs[indptr[v]:indptr[v + 1]]] for v in range(g.n)]
+    return adj, [float(len(row)) for row in adj], 2.0 * g.m
 
 
-def _local_moving(indptr, nbrs, w, node_k, order, gamma, two_m) -> np.ndarray:
+def _aggregate(adj, node_k, labels, nc):
+    """One node per community: links summed between communities, each row
+    sorted by community id, and each community's degree the sum of its
+    members'.  Weights are sums of units, so any summation order is exact."""
+    rows, k = [{} for _ in range(nc)], [0.0] * nc
+    for v, row in enumerate(adj):
+        cv = labels[v]
+        k[cv] += node_k[v]
+        links = rows[cv]
+        for u, w in row:
+            cu = labels[u]
+            if cu != cv:
+                links[cu] = links.get(cu, 0.0) + w
+    return [sorted(links.items()) for links in rows], k
+
+
+def _local_moving(adj, node_k, order, gamma, two_m) -> list:
     """Greedy moves of single nodes, in ``order``, until a pass moves none.
 
-    Returns the community of each node, starting from singletons.  Node v
+    Returns each node's community, numbered densely by first occurrence in
+    node order; moves start from singletons.  Node v
     goes to the community c with the largest w(v, c) - gamma * tot_c * k_v
     / two_m (terms shared by all c dropped), and leaves its own only for a
     gain larger by more than 1e-12.  Link weights are summed per community
     in the order v's neighbors are listed, and ties go to the community
     touched first.
     """
-    indptr, nbrs, w = indptr.tolist(), nbrs.tolist(), w.tolist()
-    node_k, order = node_k.tolist(), order.tolist()
     comm = list(range(len(node_k)))
     tot = list(node_k)
     moved = True
@@ -104,29 +109,31 @@ def _local_moving(indptr, nbrs, w, node_k, order, gamma, two_m) -> np.ndarray:
         for v in order:
             cv, kv = comm[v], node_k[v]
             links = {}
-            for j in range(indptr[v], indptr[v + 1]):
-                c = comm[nbrs[j]]
-                links[c] = links.get(c, 0.0) + w[j]
+            for u, w in adj[v]:
+                c = comm[u]
+                links[c] = links.get(c, 0.0) + w
             tot[cv] -= kv
-            best, bc = links.get(cv, 0.0) - gamma * tot[cv] * kv / two_m, cv
+            best, bc = links.pop(cv, 0.0) - gamma * tot[cv] * kv / two_m, cv
             for c, wc in links.items():
                 gain = wc - gamma * tot[c] * kv / two_m
-                if c != cv and gain > best + 1e-12:
+                if gain > best + 1e-12:
                     best, bc = gain, c
             tot[bc] += kv
             if bc != cv:
                 comm[v] = bc
                 moved = True
-    return np.array(comm, dtype=np.int64)
+    ids = {}
+    return [ids.setdefault(c, len(ids)) for c in comm]
 
 
-def louvain_partition(g: Graph, resolution: float, rng) -> Partition:
+def louvain_partition(g: Graph, resolution: float, rng, *, level0=None) -> Partition:
     """Two-phase Louvain: greedy local moves, then graph aggregation,
     repeated until the community count stops shrinking.
 
     The node visit order at every level is a fresh shuffle from ``rng``,
     so distinct seeds explore distinct local optima while a fixed seed is
-    fully reproducible.
+    fully reproducible.  ``level0`` is g's :func:`_level0`, shared by the
+    runs of one walk; built here when absent.
     """
     if not 0.0 < resolution < math.inf:
         raise ValueError("resolution must be finite and positive")
@@ -134,34 +141,19 @@ def louvain_partition(g: Graph, resolution: float, rng) -> Partition:
     if g.m == 0:
         return Partition(np.arange(g.n, dtype=np.int64))
 
-    eu = g.eu.astype(np.int64)
-    ev = g.ev.astype(np.int64)
-    w = np.ones(g.m)
-    loops = np.zeros(g.n)
-    mapping = np.arange(g.n, dtype=np.int64)
-    size = g.n
-
+    adj, node_k, two_m = level0 if level0 is not None else _level0(g)
+    mapping = range(g.n)
     while True:
-        indptr, nbrs, slot = csr_index(size, np.concatenate([eu, ev]), np.concatenate([ev, eu]))
-        node_k = np.zeros(size)
-        np.add.at(node_k, eu, w)
-        np.add.at(node_k, ev, w)
-        node_k += 2.0 * loops
-        two_m = float(node_k.sum())
-        if two_m == 0.0:
+        order = rng.permutation(len(adj)).tolist()
+        labels = _local_moving(adj, node_k, order, float(resolution), two_m)
+        nc = max(labels) + 1
+        mapping = [labels[c] for c in mapping]
+        if nc == len(adj) or nc == 1:
             break
-        order = rng.permutation(size)
-        labels = _dense_relabel(_local_moving(indptr, nbrs, w[slot % w.size], node_k,
-                                              order, float(resolution), two_m))
-        ncomm = int(labels.max()) + 1
-        mapping = labels[mapping]
-        if ncomm == size:
-            break
-        eu, ev, w, loops = _aggregate(labels, eu, ev, w, loops)
-        size = ncomm
-        if size == 1:
-            break
-    return Partition(_dense_relabel(mapping))
+        adj, node_k = _aggregate(adj, node_k, labels, nc)
+    # level l + 1's nodes are numbered by first occurrence in node order, so
+    # its first-occurrence ids keep mapping dense by first occurrence too
+    return Partition(np.array(mapping, dtype=np.int64))
 
 
 def inter_community_edges(g: Graph, partition: Partition) -> np.ndarray:
@@ -201,13 +193,16 @@ def sweep_trace(g: Graph, params: SweepParams) -> list:
     whose last run cut more than ``params.budget`` edges, and the walk
     ends once it exceeds ``h1``, or at the first resolution that is not
     finite (there every node is alone, so the cut is all m edges and can
-    only overflow).  A budget of m or more walks nothing.
+    only overflow).  A budget of m or more walks nothing.  Every run
+    shares one :func:`_level0` of g.
     """
     k, trace, r, count = params.budget, [], params.resolution, 0
+    level0 = _level0(g) if k < g.m else None
     while k < g.m and count <= params.h1 and math.isfinite(r):
         outer = len(trace) // params.h2
         for inner in range(params.h2):
-            part = louvain_partition(g, r, rng_for(params.master_seed, outer, inner))
+            rng = rng_for(params.master_seed, outer, inner)
+            part = louvain_partition(g, r, rng, level0=level0)
             trace.append((r, int(inter_community_edges(g, part).shape[0])))
         count += trace[-1][1] > k
         r *= params.factor

@@ -79,20 +79,16 @@ def expand_to_blocking_instance(h: Graph, construction: str = "undirected") -> B
         raise ValueError("empty source graph")
     if not is_connected(h):
         raise ValueError("source graph must be connected")
+    return _hub_expansion(h, construction)
+
+
+def _hub_expansion(h: Graph, construction: str) -> BlockingInstance:
+    """:func:`expand_to_blocking_instance` of a graph already checked."""
     n, m = h.n, h.m
     hub = n + m
-    eu = []
-    ev = []
-    for j in range(m):
-        y = n + j
-        eu.append(y)
-        ev.append(int(h.eu[j]))
-        eu.append(y)
-        ev.append(int(h.ev[j]))
-    for i in range(n):
-        eu.append(i)
-        ev.append(hub)
-    g = from_edge_arrays(n + m + 1, np.array(eu, dtype=np.int64), np.array(ev, dtype=np.int64))
+    incidence = np.arange(n, hub, dtype=np.int64)    # node n + j stands for edge j of h
+    g = from_edge_arrays(hub + 1, np.concatenate([incidence, incidence, np.arange(n)]),
+                         np.concatenate([h.eu, h.ev, np.full(n, hub)]))
     arcs = None
     if construction == "directed":
         # canonical edges have eu < ev: a hub edge is (copy, hub) and runs
@@ -212,7 +208,7 @@ def verify_reduction(h: Graph, k: int, construction: str = "undirected") -> Redu
         ds = brute_force_densest_subgraph(h, k)
         return ReductionCheck(k, gr, "below_girth", ds.value, None, ds.value == k - 1,
                               construction)
-    inst = expand_to_blocking_instance(h, construction)
+    inst = _hub_expansion(h, construction)
     ds = brute_force_densest_subgraph(h, k)
     eb = brute_force_edge_blocking(inst.graph, k, inst.seeds, inst.arcs)
     return ReductionCheck(k, gr, "expansion", ds.value, eb.value, ds.value == eb.value - k,

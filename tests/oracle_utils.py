@@ -567,14 +567,73 @@ def best_k_subgraph(adj_bits, n, k):
 
 
 def louvain_moving_reference(indptr, nbrs, w, node_k, order, gamma, two_m):
-    """``louvain_local_pass`` from singletons until a pass moves nothing;
-    drop-in for ``community._local_moving``."""
+    """``louvain_local_pass`` from singletons until a pass moves nothing:
+    the local moving of ``louvain_partition_reference``."""
     comm = np.arange(node_k.shape[0], dtype=np.int64)
     comm_tot = node_k.copy()
     while louvain_local_pass(indptr, nbrs, w, node_k, comm, comm_tot,
                              np.asarray(order, dtype=np.int64), gamma, two_m):
         pass
     return comm
+
+
+def _dense_relabel(labels):
+    """Relabel community ids densely by first occurrence in node order."""
+    _, first, inv = np.unique(labels, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inv]
+
+
+def _aggregate_edges(labels, eu, ev, w, loops):
+    """Edge arrays of the community graph: inter-community weights summed
+    per community pair, intra-community weight folded into self-loops."""
+    nc = int(labels.max()) + 1
+    cu = labels[eu]
+    cv = labels[ev]
+    new_loops = np.zeros(nc)
+    np.add.at(new_loops, labels, loops)
+    same = cu == cv
+    np.add.at(new_loops, cu[same], w[same])
+    keys = np.minimum(cu[~same], cv[~same]) * nc + np.maximum(cu[~same], cv[~same])
+    uniq, inv = np.unique(keys, return_inverse=True)
+    new_w = np.zeros(uniq.size)
+    np.add.at(new_w, inv, w[~same])
+    return uniq // nc, uniq % nc, new_w, new_loops
+
+
+def louvain_partition_reference(g, resolution, rng):
+    """The labels of ``community.louvain_partition`` from edge arrays: each
+    level a fresh CSR over its edge list, ``louvain_moving_reference`` for
+    local moving, and aggregation into edge arrays with self-loops.  ``rng``
+    is a numpy Generator."""
+    from edgeblock.graph import csr_index
+
+    if g.m == 0:
+        return np.arange(g.n, dtype=np.int64)
+    eu = g.eu.astype(np.int64)
+    ev = g.ev.astype(np.int64)
+    w = np.ones(g.m)
+    loops = np.zeros(g.n)
+    mapping = np.arange(g.n, dtype=np.int64)
+    size = g.n
+    while True:
+        indptr, nbrs, slot = csr_index(size, np.concatenate([eu, ev]), np.concatenate([ev, eu]))
+        node_k = np.zeros(size)
+        np.add.at(node_k, eu, w)
+        np.add.at(node_k, ev, w)
+        node_k += 2.0 * loops
+        two_m = float(node_k.sum())
+        order = rng.permutation(size)
+        labels = _dense_relabel(louvain_moving_reference(
+            indptr, nbrs, w[slot % w.size], node_k, order, float(resolution), two_m))
+        ncomm = int(labels.max()) + 1
+        mapping = labels[mapping]
+        if ncomm == size:
+            break
+        eu, ev, w, loops = _aggregate_edges(labels, eu, ev, w, loops)
+        size = ncomm
+        if size == 1:
+            break
+    return _dense_relabel(mapping)
 
 
 def densest_reference(h, k):

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from edgeblock import community
 from edgeblock.community import (
     Partition,
     SweepParams,
@@ -16,6 +17,7 @@ from edgeblock.community import (
 from edgeblock.generators import gnm_random_graph, planted_partition, random_connected_graph
 from edgeblock.graph import from_edge_arrays
 from edgeblock.seeding import rng_for
+from edgeblock.strategies import blocked_sets
 from oracle_utils import best_modularity_exhaustive
 
 # two triangles joined by one bridge: nodes 0-2 and 3-5, bridge (2, 3)
@@ -162,22 +164,26 @@ def test_sweep_returns_max_within_budget():
     assert out.size == max(sizes_ok, default=0)
 
 
+def _acceptance09_graph(trial, rng):
+    # acceptance-09's three graph families, by trial mod 3
+    if trial % 3 == 0:
+        n = int(rng.integers(5, 30))
+        m = int(rng.integers(4, min(50, n * (n - 1) // 2) + 1))
+        return gnm_random_graph(n, m, int(rng.integers(1 << 30)))
+    if trial % 3 == 1:
+        return planted_partition(int(rng.integers(2, 4)), int(rng.integers(4, 8)),
+                                 0.7, 0.05, int(rng.integers(1 << 30)))
+    return random_connected_graph(int(rng.integers(4, 20)),
+                                  int(rng.integers(0, 6)), int(rng.integers(1 << 30)))
+
+
 def test_shared_walk_matches_one_budget_sweeps():
     # acceptance-09's three graph families: every budget answered from the
     # largest budget's walk equals that budget's own sweep, and each
     # budget's walk is a prefix of the largest one's
     rng = np.random.default_rng(9)
     for trial in range(30):
-        if trial % 3 == 0:
-            n = int(rng.integers(5, 30))
-            m = int(rng.integers(4, min(50, n * (n - 1) // 2) + 1))
-            g = gnm_random_graph(n, m, int(rng.integers(1 << 30)))
-        elif trial % 3 == 1:
-            g = planted_partition(int(rng.integers(2, 4)), int(rng.integers(4, 8)),
-                                  0.7, 0.05, int(rng.integers(1 << 30)))
-        else:
-            g = random_connected_graph(int(rng.integers(4, 20)),
-                                       int(rng.integers(0, 6)), int(rng.integers(1 << 30)))
+        g = _acceptance09_graph(trial, rng)
         base = SweepParams(resolution=0.05, factor=1.3, h1=2, h2=2, master_seed=trial)
         ks = sorted({0, g.m - 1, g.m, *(int(k) for k in rng.integers(1, g.m, 3))})
         walked = max(k for k in ks if k < g.m)
@@ -190,6 +196,49 @@ def test_shared_walk_matches_one_budget_sweeps():
             shared = resolution_sweep(g, params, trace)
             assert shared.dtype == np.int64
             assert np.array_equal(shared, resolution_sweep(g, params))
+
+
+def test_shared_level0_walk_matches_fresh_runs():
+    # the walk's runs all read one level 0; each equals a run that builds
+    # its own
+    rng = np.random.default_rng(14)
+    for trial in range(30):
+        g = _acceptance09_graph(trial, rng)
+        params = SweepParams(resolution=0.05, factor=1.3, h1=2, h2=2,
+                             budget=int(rng.integers(0, g.m)), master_seed=trial)
+        trace = sweep_trace(g, params)
+        runs = [louvain_partition(g, r, rng_for(trial, i // 2, i % 2))
+                for i, (r, _) in enumerate(trace)]
+        fresh = [(r, inter_community_edges(g, part).size) for (r, _), part in zip(trace, runs)]
+        assert trace == fresh and len(trace) >= 2
+
+
+def test_blocked_sets_walk_builds_level0_once(monkeypatch):
+    builds, walks, shared = [], [], []
+    real_level0, real_trace = community._level0, community.sweep_trace
+    real_run = community.louvain_partition
+
+    def walk(g, params):
+        before = len(builds)
+        trace = real_trace(g, params)
+        walks.append((len(builds) - before, len(trace)))
+        return trace
+
+    monkeypatch.setattr(community, "_level0", lambda g: builds.append(g) or real_level0(g))
+    monkeypatch.setattr(community, "sweep_trace", walk)
+    monkeypatch.setattr(community, "louvain_partition",
+                        lambda *a, **kw: shared.append(kw.get("level0")) or real_run(*a, **kw))
+    g = planted_partition(4, 20, 0.6, 0.02, 105)
+    sweep = SweepParams(resolution=0.05, factor=1.3, h1=2, h2=2)
+    sets = blocked_sets(g, "community", [g.m // 10, g.m // 5, g.m], 1, sweep)
+    # one build for the whole walk, one per rerun of a picked run; every
+    # run of the walk reads that one level 0
+    reruns = shared.count(None)
+    walk_runs = [x for x in shared if x is not None]
+    assert walks == [(1, len(walk_runs))] and len(walk_runs) > 2
+    assert all(x is walk_runs[0] for x in walk_runs)
+    assert reruns == sum(0 < ids.size < g.m for ids in sets) == 2
+    assert len(builds) == 1 + reruns
 
 
 def test_sweep_stops_at_non_finite_resolution():

@@ -278,6 +278,20 @@ def test_verify_requires_connected_source():
         verify_reduction(two_edges, 3)
 
 
+def test_one_connectivity_check_per_verify(monkeypatch):
+    # the expansion-mode checks reuse verify_reduction's own connectivity
+    # check; expand_to_blocking_instance still checks when called directly
+    calls = []
+    real = hardness_mod.is_connected
+    monkeypatch.setattr(hardness_mod, "is_connected", lambda h: calls.append(h) or real(h))
+    checks = sweep_small_instances(4)
+    assert sum(c.mode == "expansion" for c in checks) > 0
+    assert len(calls) == len(checks) == 32
+    with pytest.raises(ValueError, match="connected"):
+        expand_to_blocking_instance(from_edge_arrays(4, [0], [1]))
+    assert len(calls) == 33
+
+
 def test_sweep_size_rejected_before_any_check(monkeypatch):
     calls = []
     real = hardness_mod.verify_reduction
