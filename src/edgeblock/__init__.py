@@ -28,7 +28,7 @@ from .community import (
     louvain_partition,
     modularity,
     resolution_sweep,
-    sweep_trace,
+    sweep_walk,
 )
 from .evaluation import (
     ContainmentReport,

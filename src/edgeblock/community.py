@@ -9,9 +9,9 @@ the unweighted structure is used: edge weights do not enter Q.
 
 The sweep grows the resolution geometrically, re-running Louvain several
 times per step (the algorithm is seeded-random), and keeps the largest
-inter-community edge set that still fits the blocking budget.  One walk,
-keeping only each run's resolution and cut size, answers every budget up to
-the largest; each answer reruns the one Louvain run it picks.
+inter-community edge set that still fits the blocking budget.  One walk
+answers every budget: each run's cut replaces the pick of every open budget
+it beats, and each budget keeps its own stop counter.
 
 Every Louvain level is plain Python lists, per node its ``(neighbor,
 weight)`` pairs and its degree; a walk builds level 0 once and shares it.
@@ -184,59 +184,52 @@ class SweepParams:
             raise ValueError("budget must be nonnegative")
 
 
-def sweep_trace(g: Graph, params: SweepParams) -> list:
-    """``(resolution, cut size)`` of each Louvain run of the sweep, in walk order.
+def sweep_walk(g: Graph, params: SweepParams, ks) -> tuple:
+    """One resolution walk for every budget in ``ks``: ``(trace, picks)``.
 
     Walks the resolution upward by ``factor``; at each step runs Louvain
     ``h2`` times, run ``inner`` of step ``outer`` on the stream
-    (master_seed, outer, inner).  The stop counter advances each step
-    whose last run cut more than ``params.budget`` edges, and the walk
-    ends once it exceeds ``h1``, or at the first resolution that is not
+    (master_seed, outer, inner), every run sharing one :func:`_level0` of g.
+    ``trace`` is each run's ``(resolution, cut size)`` in walk order.  Each
+    run's cut becomes budget k's pick when it is larger than k's pick so far
+    and at most k, so k keeps the first largest cut and never an empty one.
+    Budget k's stop counter advances each step whose last run cut more than
+    k edges, and k closes once the counter exceeds ``h1``.  The walk ends
+    when every budget has closed, or at the first resolution that is not
     finite (there every node is alone, so the cut is all m edges and can
-    only overflow).  A budget of m or more walks nothing.  Every run
-    shares one :func:`_level0` of g.
+    only overflow).  ``picks[k]`` is sorted edge ids: every edge when k is m
+    or more, none when no cut fits.  ``params.budget`` is not read.
     """
-    k, trace, r, count = params.budget, [], params.resolution, 0
-    level0 = _level0(g) if k < g.m else None
-    while k < g.m and count <= params.h1 and math.isfinite(r):
+    picks = {k: np.arange(g.m if k >= g.m else 0, dtype=np.int64) for k in ks}
+    counts = {k: 0 for k in picks if k < g.m}   # stop counter of each open budget
+    trace, r = [], params.resolution
+    level0 = _level0(g) if counts else None
+    while counts and math.isfinite(r):
         outer = len(trace) // params.h2
         for inner in range(params.h2):
             rng = rng_for(params.master_seed, outer, inner)
-            part = louvain_partition(g, r, rng, level0=level0)
-            trace.append((r, int(inter_community_edges(g, part).shape[0])))
-        count += trace[-1][1] > k
+            cut = inter_community_edges(g, louvain_partition(g, r, rng, level0=level0))
+            trace.append((r, cut.size))
+            for k in counts:
+                if picks[k].size < cut.size <= k:
+                    picks[k] = cut
+        for k in list(counts):
+            counts[k] += cut.size > k
+            if counts[k] > params.h1:
+                del counts[k]
         r *= params.factor
-    return trace
+    return trace, picks
 
 
-def resolution_sweep(g: Graph, params: SweepParams, trace=None) -> np.ndarray:
-    """Largest inter-community edge set within the budget.
+def resolution_sweep(g: Graph, params: SweepParams, walk=None) -> np.ndarray:
+    """Largest inter-community edge set within ``params.budget``.
 
-    Picks the largest cut within the budget, the first on ties, from the
-    :func:`sweep_trace` walk up to ``params.budget``'s stop, then reruns
-    that Louvain run for its edge ids.  ``trace`` may be the walk of any
-    larger budget on the same parameters: a step that overflows it
-    overflows this budget too, so this walk is its prefix.  Without
-    ``trace`` the sweep walks its own.  Returns sorted edge ids, at most
-    the budget and possibly none; every edge when the budget is m or more.
+    The budget's pick from ``walk``, a :func:`sweep_walk` on the same graph
+    and parameters, or from a one-budget walk of its own when ``walk`` is
+    absent.  Sorted edge ids, at most the budget and possibly none; every
+    edge when the budget is m or more.
     """
-    k = params.budget
-    if k >= g.m:
-        return np.arange(g.m, dtype=np.int64)
-    if trace is None:
-        trace = sweep_trace(g, params)
-    best, best_size, count = None, 0, 0
-    for i, (_, size) in enumerate(trace):
-        if best_size < size <= k:
-            best, best_size = i, size
-        if i % params.h2 == params.h2 - 1:
-            count += size > k
-            if count > params.h1:
-                break
-    else:   # no stop: the walk must have reached a non-finite resolution
-        if not trace or math.isfinite(trace[-1][0] * params.factor):
-            raise ValueError("trace ends before this budget's sweep stops")
-    if best is None:
-        return np.zeros(0, dtype=np.int64)
-    rng = rng_for(params.master_seed, best // params.h2, best % params.h2)
-    return inter_community_edges(g, louvain_partition(g, trace[best][0], rng))
+    _, picks = sweep_walk(g, params, [params.budget]) if walk is None else walk
+    if params.budget not in picks:
+        raise ValueError(f"the walk does not answer budget {params.budget}")
+    return picks[params.budget]

@@ -56,9 +56,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # the name goes unquoted into file names, CSV fields and SVG text
-        if any(ch in self.network for ch in ",\r\n/<>&"):
-            raise ValueError(f"network name {self.network!r} may not contain , / < > & "
-                             "or a line break")
+        if not self.network or any(ch in self.network for ch in ",\r\n/<>&"):
+            raise ValueError(f"network name {self.network!r} may not be empty or contain "
+                             ", / < > & or a line break")
         for f in self.budget_fractions:
             if not 0.0 < f <= 1.0:
                 raise ValueError("budget fractions must lie in (0, 1]")

@@ -195,10 +195,11 @@ def label_of_token(token: str):
 def parse_edge_list(source) -> Graph:
     """Parse a whitespace-separated edge list into a Graph.
 
-    Lines starting with '#' or '%' are comments.  Each data line holds two
-    node tokens and optionally a weight in (0, 1]; without a weight column
-    all weights are 1.  Duplicate (including reversed) edges and self-loops
-    are dropped; their counts go to one INFO line of this module's logger.
+    Lines starting with '#' or '%' are comments, so no node token may start
+    with either.  Each data line holds two node tokens and optionally a
+    weight in (0, 1]; without a weight column all weights are 1.  Duplicate
+    (including reversed) edges and self-loops are dropped; their counts go
+    to one INFO line of this module's logger.
     Node ids may be arbitrary integers or strings; dense internal ids
     follow first appearance and original ids are kept as labels.
     """
@@ -233,6 +234,8 @@ def parse_edge_list(source) -> Graph:
                 any_weight = True
             for tok in (ua, va):
                 if tok not in node_index:
+                    if tok[0] in "#%":   # written first on a line, it would read as a comment
+                        raise ParseError(f"node {tok!r} starts with a comment character", lineno)
                     node_index[tok] = len(tokens_in_order)
                     tokens_in_order.append(tok)
             iu, iv = node_index[ua], node_index[va]

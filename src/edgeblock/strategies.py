@@ -4,8 +4,7 @@ Strategies own their seeding: :func:`blocked_sets` derives every stream
 from the master seed and answers a list of budgets.  A baseline scores
 every edge once on the original graph and blocks the top k per budget, ties
 broken by ascending canonical edge id.  The community strategy has no edge
-scores; one resolution walk, to the largest budget's stop, answers every
-budget.
+scores; one resolution walk keeps every budget's pick as it goes.
 """
 
 from __future__ import annotations
@@ -80,9 +79,9 @@ def blocked_sets(g: Graph, strategy: str, ks, master_seed: int, sweep=None) -> l
 
     A score strategy scores once, on the stream (TAG_STRATEGY, code), and
     takes the top k for each k.  The community strategy walks the resolution
-    sweep once, seeded from (TAG_SWEEP,) with ``sweep``'s parameters
-    (defaults otherwise), to the stop of the largest k below m, and answers
-    each k from that walk: the same ids as a one-budget sweep on that seed.
+    sweep once for all k, seeded from (TAG_SWEEP,) with ``sweep``'s
+    parameters (defaults otherwise), and looks each k's pick up in that
+    walk: the same ids as a one-budget sweep on that seed.
     """
     code = strategy_code(strategy)
     check_sweep(sweep)
@@ -91,9 +90,8 @@ def blocked_sets(g: Graph, strategy: str, ks, master_seed: int, sweep=None) -> l
     if strategy == "community":
         seed = int(seed_sequence(master_seed, TAG_SWEEP).generate_state(1)[0])
         base = replace(sweep if sweep is not None else community_mod.SweepParams(), master_seed=seed)
-        walked = max([k for k in ks if k < g.m], default=g.m)
-        trace = community_mod.sweep_trace(g, replace(base, budget=walked))
-        return [community_mod.resolution_sweep(g, replace(base, budget=k), trace) for k in ks]
+        walk = community_mod.sweep_walk(g, base, ks)
+        return [community_mod.resolution_sweep(g, replace(base, budget=k), walk) for k in ks]
     scores = score_edges(g, strategy, rng=rng_for(master_seed, TAG_STRATEGY, code))
     return [top_k_edges(scores, k) for k in ks]
 

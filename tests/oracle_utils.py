@@ -636,6 +636,34 @@ def louvain_partition_reference(g, resolution, rng):
     return _dense_relabel(mapping)
 
 
+def resolution_sweep_reference(g, params):
+    """One budget's resolution sweep, run by run: ``(trace, ids)``.
+
+    ``h2`` fresh Louvain runs per step, each building its own level 0; the
+    first largest cut within the budget kept; a stop once more than ``h1``
+    steps end on a run that cuts more than the budget, or at a non-finite
+    resolution.  ``trace`` is each run's ``(resolution, cut size)``; a
+    budget of m or more walks nothing and takes every edge."""
+    from edgeblock.community import inter_community_edges, louvain_partition
+    from edgeblock.seeding import rng_for
+
+    k = params.budget
+    if k >= g.m:
+        return [], np.arange(g.m, dtype=np.int64)
+    trace, best = [], np.zeros(0, dtype=np.int64)
+    overflows, outer, r = 0, 0, params.resolution
+    while overflows <= params.h1 and math.isfinite(r):
+        for inner in range(params.h2):
+            cut = inter_community_edges(g, louvain_partition(g, r, rng_for(params.master_seed, outer, inner)))
+            trace.append((r, cut.size))
+            if best.size < cut.size <= k:
+                best = cut
+        overflows += cut.size > k
+        outer += 1
+        r *= params.factor
+    return trace, best
+
+
 def densest_reference(h, k):
     """``best_k_subgraph`` on h's int64 neighborhood bitmasks."""
     adj_bits = np.zeros(h.n, dtype=np.int64)

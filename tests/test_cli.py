@@ -202,6 +202,10 @@ def test_usage_and_runtime_errors(tmp_path, capsys):
     assert dispatch(["hardness", "verify", *missing, "--k", "0"]) == 1
     for n in ("7", "1"):
         assert dispatch(["hardness", "verify", "--sweep-all-small", n]) == 1, n
+    # a dot file's stem is the empty network name
+    hidden = tmp_path / ".hid"
+    hidden.write_text("0 1\n1 2\n")
+    assert dispatch(["evaluate", "--graph", str(hidden), "--out", str(tmp_path / "out")]) == 1
     assert not (tmp_path / "out").exists()
 
 

@@ -12,13 +12,13 @@ from edgeblock.community import (
     louvain_partition,
     modularity,
     resolution_sweep,
-    sweep_trace,
+    sweep_walk,
 )
 from edgeblock.generators import gnm_random_graph, planted_partition, random_connected_graph
 from edgeblock.graph import from_edge_arrays
 from edgeblock.seeding import rng_for
 from edgeblock.strategies import blocked_sets
-from oracle_utils import best_modularity_exhaustive
+from oracle_utils import best_modularity_exhaustive, resolution_sweep_reference
 
 # two triangles joined by one bridge: nodes 0-2 and 3-5, bridge (2, 3)
 TT = from_edge_arrays(6, [0, 0, 1, 2, 3, 3, 4], [1, 2, 2, 3, 4, 5, 5])
@@ -158,8 +158,8 @@ def test_sweep_returns_max_within_budget():
     g = planted_partition(3, 6, 0.8, 0.1, 13)
     params = SweepParams(resolution=0.05, factor=1.2, h1=3, h2=3, budget=g.m // 3,
                          master_seed=5)
-    trace = sweep_trace(g, params)
-    out = resolution_sweep(g, params, trace)
+    trace, picks = sweep_walk(g, params, [params.budget])
+    out = resolution_sweep(g, params, (trace, picks))
     sizes_ok = [s for _, s in trace if s <= params.budget]
     assert out.size == max(sizes_ok, default=0)
 
@@ -178,24 +178,27 @@ def _acceptance09_graph(trial, rng):
 
 
 def test_shared_walk_matches_one_budget_sweeps():
-    # acceptance-09's three graph families: every budget answered from the
-    # largest budget's walk equals that budget's own sweep, and each
-    # budget's walk is a prefix of the largest one's
+    # acceptance-09's three graph families: every pick of one walk over all
+    # budgets equals that budget's sweep run by run, each budget's own walk
+    # runs what that sweep runs and is a prefix of the shared walk, and the
+    # shared walk is the largest budget below m's own
     rng = np.random.default_rng(9)
     for trial in range(30):
         g = _acceptance09_graph(trial, rng)
         base = SweepParams(resolution=0.05, factor=1.3, h1=2, h2=2, master_seed=trial)
-        ks = sorted({0, g.m - 1, g.m, *(int(k) for k in rng.integers(1, g.m, 3))})
-        walked = max(k for k in ks if k < g.m)
-        trace = sweep_trace(g, replace(base, budget=walked))
-        assert len(trace) % base.h2 == 0
+        ks = sorted({0, g.m - 1, g.m, g.m + 3, *(int(k) for k in rng.integers(1, g.m, 3))})
+        trace, picks = sweep_walk(g, base, ks)
+        assert len(trace) % base.h2 == 0 and sorted(picks) == ks
+        assert trace == sweep_walk(g, base, [max(k for k in ks if k < g.m)])[0]
         for k in ks:
             params = replace(base, budget=k)
-            own = sweep_trace(g, params)
+            own, own_picks = sweep_walk(g, base, [k])
             assert own == trace[:len(own)] and (own == []) == (k >= g.m)
-            shared = resolution_sweep(g, params, trace)
-            assert shared.dtype == np.int64
-            assert np.array_equal(shared, resolution_sweep(g, params))
+            ref_trace, ref = resolution_sweep_reference(g, params)
+            assert own == ref_trace
+            for shared in (picks[k], own_picks[k], resolution_sweep(g, params)):
+                assert shared.dtype == np.int64
+                assert np.array_equal(shared, ref)
 
 
 def test_shared_level0_walk_matches_fresh_runs():
@@ -206,7 +209,7 @@ def test_shared_level0_walk_matches_fresh_runs():
         g = _acceptance09_graph(trial, rng)
         params = SweepParams(resolution=0.05, factor=1.3, h1=2, h2=2,
                              budget=int(rng.integers(0, g.m)), master_seed=trial)
-        trace = sweep_trace(g, params)
+        trace, _ = sweep_walk(g, params, [params.budget])
         runs = [louvain_partition(g, r, rng_for(trial, i // 2, i % 2))
                 for i, (r, _) in enumerate(trace)]
         fresh = [(r, inter_community_edges(g, part).size) for (r, _), part in zip(trace, runs)]
@@ -215,50 +218,49 @@ def test_shared_level0_walk_matches_fresh_runs():
 
 def test_blocked_sets_walk_builds_level0_once(monkeypatch):
     builds, walks, shared = [], [], []
-    real_level0, real_trace = community._level0, community.sweep_trace
+    real_level0, real_walk = community._level0, community.sweep_walk
     real_run = community.louvain_partition
 
-    def walk(g, params):
+    def walk(g, params, ks):
         before = len(builds)
-        trace = real_trace(g, params)
+        trace, picks = real_walk(g, params, ks)
         walks.append((len(builds) - before, len(trace)))
-        return trace
+        return trace, picks
 
     monkeypatch.setattr(community, "_level0", lambda g: builds.append(g) or real_level0(g))
-    monkeypatch.setattr(community, "sweep_trace", walk)
+    monkeypatch.setattr(community, "sweep_walk", walk)
     monkeypatch.setattr(community, "louvain_partition",
                         lambda *a, **kw: shared.append(kw.get("level0")) or real_run(*a, **kw))
     g = planted_partition(4, 20, 0.6, 0.02, 105)
     sweep = SweepParams(resolution=0.05, factor=1.3, h1=2, h2=2)
     sets = blocked_sets(g, "community", [g.m // 10, g.m // 5, g.m], 1, sweep)
-    # one build for the whole walk, one per rerun of a picked run; every
-    # run of the walk reads that one level 0
+    # one build for the whole walk, every run of the walk reads it, and no
+    # run happens outside the walk
     reruns = shared.count(None)
-    walk_runs = [x for x in shared if x is not None]
-    assert walks == [(1, len(walk_runs))] and len(walk_runs) > 2
-    assert all(x is walk_runs[0] for x in walk_runs)
-    assert reruns == sum(0 < ids.size < g.m for ids in sets) == 2
-    assert len(builds) == 1 + reruns
+    assert walks == [(1, len(shared))] and len(shared) > 2
+    assert all(x is shared[0] for x in shared)
+    assert reruns == 0 and len(builds) == 1
+    assert sum(0 < ids.size < g.m for ids in sets) == 2
 
 
 def test_sweep_stops_at_non_finite_resolution():
     # 1e307 * 100 overflows to inf after one step; at 1e307 every node is
     # alone, so that step cuts all m > k edges and nothing fits
     params = SweepParams(resolution=1e307, factor=100.0, h1=5, h2=3, budget=2, master_seed=4)
-    trace = sweep_trace(TT, params)
+    trace, picks = sweep_walk(TT, params, [params.budget])
     assert trace == [(1e307, TT.m)] * 3
     assert resolution_sweep(TT, params).size == 0
-    assert resolution_sweep(TT, params, trace).size == 0
+    assert resolution_sweep(TT, params, (trace, picks)).size == 0
 
 
-def test_sweep_rejects_a_trace_that_stops_short():
+def test_sweep_rejects_a_walk_without_its_budget():
     g = planted_partition(3, 6, 0.8, 0.1, 13)
     params = SweepParams(resolution=0.05, factor=1.2, h1=2, h2=2, budget=g.m // 3, master_seed=5)
-    trace = sweep_trace(g, params)
-    assert resolution_sweep(g, params, trace).size <= params.budget
-    for short in ([], trace[:params.h2]):
+    walk = sweep_walk(g, params, [params.budget, g.m])
+    assert resolution_sweep(g, params, walk).size <= params.budget
+    for others in ([], [params.budget + 1], [g.m]):
         with pytest.raises(ValueError):
-            resolution_sweep(g, params, short)
+            resolution_sweep(g, params, sweep_walk(g, params, others))
 
 
 def test_sweep_deterministic():

@@ -57,6 +57,8 @@ def test_config_validation():
         ExperimentConfig(budget_fractions=(0.01, 0.05, 1 / 100))
     with pytest.raises(ValueError):
         ExperimentConfig(threads=-1)
+    with pytest.raises(ValueError):
+        ExperimentConfig(network="")
     for empty in (dict(strategies=()), dict(budget_fractions=())):
         with pytest.raises(ValueError):
             ExperimentConfig(**empty)

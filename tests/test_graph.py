@@ -65,6 +65,10 @@ def test_parse_errors():
         parse_edge_list(b"# only comments\n")
     with pytest.raises(ParseError, match="weight"):
         parse_edge_list(b"0 1 2.5\n")
+    # a node written first on a line would re-parse as a comment
+    for text, line in ((b"1 #a\n2 #a\n2 3\n", 1), (b"0 1\n1 %b 0.5\n", 2)):
+        with pytest.raises(ParseError, match=f"line {line}: node .* comment"):
+            parse_edge_list(text)
 
 
 def test_parse_gzip(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from edgeblock import community
-from edgeblock.community import SweepParams, resolution_sweep, sweep_trace
+from edgeblock.community import SweepParams, resolution_sweep, sweep_walk
 from edgeblock.generators import gnm_random_graph, planted_partition, with_random_weights
 from edgeblock.graph import assign_jaccard_weights, from_edge_arrays, parse_edge_list
 from edgeblock.seeding import TAG_STRATEGY, TAG_SWEEP, rng_for, seed_sequence
@@ -166,8 +166,8 @@ def test_blocked_sets_match_single_budget_calls():
 
 
 def test_community_walks_once_for_all_budgets(monkeypatch):
-    # one walk to the largest budget's stop, plus one rerun per budget whose
-    # pick is not empty, where per-budget sweeps walk once per budget
+    # one walk's runs and no more, where per-budget sweeps walk once per
+    # budget
     g = planted_partition(4, 20, 0.6, 0.02, 105)   # the acceptance-08 graph
     sweep = SweepParams(resolution=0.05, factor=1.2, h1=2, h2=2)
     ks = [0, 5, 26, 51, 77, 103]
@@ -182,9 +182,9 @@ def test_community_walks_once_for_all_budgets(monkeypatch):
     sets = blocked_sets(g, "community", ks, 10, sweep=sweep)
     shared_runs = len(runs)
     base = replace(sweep, master_seed=int(seed_sequence(10, TAG_SWEEP).generate_state(1)[0]))
-    walk = sweep_trace(g, replace(base, budget=max(ks)))
+    trace, _ = sweep_walk(g, base, ks)
     picked = sum(ids.size > 0 for ids in sets)
-    assert 0 < picked < len(ks) and shared_runs == len(walk) + picked
+    assert 0 < picked < len(ks) and shared_runs == len(trace)
     runs.clear()
     for k in ks:
         resolution_sweep(g, replace(base, budget=k))
