@@ -107,6 +107,12 @@ def reach_counts(g: Graph, live: np.ndarray, seeds, arcs=None) -> np.ndarray:
     return np.unpackbits(reach, axis=1, count=live.shape[1]).sum(axis=0, dtype=np.int64)
 
 
+def is_connected(g: Graph) -> bool:
+    """Whether g has at most one connected component: n <= 1, or node 0
+    reaches all n nodes with every edge live."""
+    return g.n <= 1 or int(reach_counts(g, np.ones((g.m, 1), dtype=bool), [0])[0]) == g.n
+
+
 def _chunk_rows(g: Graph) -> int:
     return max(1, _CHUNK_ELEMENTS // max(g.m, g.n, 1))
 

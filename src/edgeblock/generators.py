@@ -7,7 +7,8 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .graph import Graph, from_edge_arrays, is_connected
+from .cascade import is_connected
+from .graph import Graph, from_edge_arrays
 from .seeding import as_rng
 
 

@@ -7,6 +7,11 @@ adjacency index (neighbor rows sorted by id, each slot holding its edge id)
 backs the kernels; per-edge values such as weights stay in edge order and
 are gathered through the slot ids.  Instances are frozen and their arrays
 are marked read-only, so they are safe to share across threads.
+
+The sparse kernels (common neighbors, distances) run on ``scipy.sparse``,
+which :func:`adjacency` imports on the first such call; construction,
+ingestion and girth need only numpy.  Connectivity is a reachability
+query, ``cascade.is_connected``, on the one spread primitive.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 log = logging.getLogger(__name__)
 
@@ -272,12 +276,31 @@ def _format_weight(w: float) -> str:
     return np.format_float_positional(w, unique=True, min_digits=9 + lead)
 
 
+def _check_writable_labels(labels) -> None:
+    """ValueError naming the first label whose token would not parse back
+    to it: an empty token, one holding whitespace or starting with '#' or
+    '%', a token already written for another node, or one
+    :func:`label_of_token` reads as a different label (such as the string
+    '5' or the float 5.0)."""
+    seen = set()
+    for label in labels:
+        token = str(label)
+        if (not token or token[0] in "#%" or any(c.isspace() for c in token)
+                or token in seen or label_of_token(token) != label):
+            raise ValueError(f"node label {label!r} would not parse back from an edge list")
+        seen.add(token)
+
+
 def write_edge_list(g: Graph, sink) -> None:
     """Write 'u v weight' lines in canonical edge order.
 
     Weights are exact decimals (at least 9 significant digits), so a parse
-    round-trip reproduces them bit for bit.
+    round-trip reproduces them bit for bit.  Labels are written as tokens,
+    and each is checked before ``sink`` is opened or written (see
+    :func:`_check_writable_labels`).
     """
+    if g.labels is not None:
+        _check_writable_labels(g.labels)
     own = isinstance(sink, (str, Path))
     fh = open(sink, "w") if own else sink
     try:
@@ -303,8 +326,12 @@ def row_blocks(rows: int, width: int):
         yield lo, min(lo + step, rows)
 
 
-def adjacency(g: Graph, data) -> sp.csr_array:
-    """g's CSR index as an n x n sparse array with per-slot values ``data``."""
+def adjacency(g: Graph, data):
+    """g's CSR index as an n x n ``scipy.sparse.csr_array`` with per-slot
+    values ``data``.  scipy is imported here, on the first sparse kernel
+    call, so that ``import edgeblock`` loads only numpy."""
+    import scipy.sparse as sp
+
     return sp.csr_array((data, g.nbrs, g.indptr), shape=(g.n, g.n))
 
 
@@ -341,19 +368,6 @@ def distance_stats(g: Graph, lengths=None):
         sumd[lo:hi] = dist.sum(axis=1)
         ecc[lo:hi] = dist.max(axis=1)
     return reach, sumd, ecc
-
-
-def is_connected(g: Graph) -> bool:
-    """Whether g has at most one connected component.
-
-    The CSR lists each edge in both endpoint rows, so the strong components
-    of its directed view are g's components; scipy finds those without the
-    transpose its undirected mode builds, which dominates on small graphs.
-    """
-    from scipy.sparse import csgraph
-
-    a = adjacency(g, np.ones(2 * g.m))
-    return csgraph.connected_components(a, connection="strong", return_labels=False) <= 1
 
 
 def assign_jaccard_weights(g: Graph) -> Graph:

@@ -38,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import SeedSet, reach_counts
+from .cascade import SeedSet, is_connected, reach_counts
 from .generators import MAX_ENUM_NODES, connected_graphs_upto_iso
-from .graph import Graph, checked_edge_ids, from_edge_arrays, girth, is_connected
+from .graph import Graph, checked_edge_ids, from_edge_arrays, girth
 
 _MAX_DS_NODES = 18
 _MAX_BLOCKING_SUBSETS = 5_000_000

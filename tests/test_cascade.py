@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, shortest_path
+from scipy.sparse.csgraph import breadth_first_order, connected_components, shortest_path
 
 from edgeblock import cascade as cascade_mod
 from edgeblock.cascade import (
@@ -10,10 +10,16 @@ from edgeblock.cascade import (
     estimate_spread,
     estimate_spreads,
     exact_spread_unit_weights,
+    is_connected,
     reach_counts,
     sample_seed_set,
 )
-from edgeblock.generators import gnm_random_graph, random_connected_graph, with_random_weights
+from edgeblock.generators import (
+    connected_graphs_upto_iso,
+    gnm_random_graph,
+    random_connected_graph,
+    with_random_weights,
+)
 from edgeblock.graph import from_edge_arrays, remove_edges
 from edgeblock.hardness import expand_to_blocking_instance
 from edgeblock.seeding import rng_for
@@ -194,6 +200,26 @@ def test_reach_counts_match_bfs_oracle():
                                                        return_predecessors=False).tolist())
                 oracle.append(len(reached))
             assert reach_counts(g, live, seeds, arcs).tolist() == oracle, (g.m, masks)
+
+
+def test_is_connected_matches_csgraph_oracle():
+    # sparse gnm graphs leave isolated nodes and several components; the
+    # trivial sizes, two components and one isolated node (node 0 in the
+    # path or apart from it) are pinned by hand
+    cases = [gnm_random_graph(n, m, seed) for seed, (n, m) in enumerate(
+        [(9, 3), (9, 8), (9, 12), (12, 11), (12, 20), (15, 14), (15, 40), (6, 15)])]
+    cases += [from_edge_arrays(1, [], []), from_edge_arrays(5, [], []),
+              from_edge_arrays(6, [0, 1, 3, 4], [1, 2, 4, 5]),
+              from_edge_arrays(4, [0, 1], [1, 2]), from_edge_arrays(4, [1, 2], [2, 3]),
+              random_connected_graph(10, 3, 4)]
+    got = [is_connected(g) for g in cases]
+    oracle = [connected_components(csr_matrix((np.ones(g.m), (g.eu, g.ev)), shape=(g.n, g.n)),
+                                   directed=False, return_labels=False) <= 1 for g in cases]
+    assert got == oracle
+    assert True in got and False in got
+    assert is_connected(from_edge_arrays(0, [], []))    # no nodes: no second component
+    for n in range(1, 6):
+        assert all(is_connected(g) for g in connected_graphs_upto_iso(n)), n
 
 
 def test_in_arcs_of_directed_k4_expansion():

@@ -1,6 +1,7 @@
 import gzip
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -94,6 +95,32 @@ def test_roundtrip_serialization():
             for e in range(h.m)
         )
     assert triples(g2) == triples(g)
+
+
+@pytest.mark.parametrize("labels, bad", [
+    (["#x", "a b", "c"], "#x"),     # would read as a comment, and as three fields
+    (["a", "b c", "d"], "b c"), (["a", "%b", "c"], "%b"), (["a", "", "c"], ""),
+    (["a", "b\tc", "d"], "b\tc"),
+    (["a", "b", "a"], "a"),         # two nodes, one token
+    (["a", "5", "c"], "5"), (["a", 5.0, "c"], 5.0), (["a", True, "c"], True),
+    (["a", None, "c"], None),
+])
+def test_write_rejects_labels_that_do_not_parse_back(tmp_path, labels, bad):
+    g = from_edge_arrays(3, [0, 1], [1, 2], labels=labels)
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match=re.escape(f"label {bad!r} would not parse back")):
+        write_edge_list(g, buf)
+    assert buf.getvalue() == ""
+    with pytest.raises(ValueError):
+        write_edge_list(g, tmp_path / "g.txt")
+    assert not (tmp_path / "g.txt").exists()
+
+
+def test_write_round_trips_mixed_labels():
+    g = from_edge_arrays(3, [0, 1], [1, 2], labels=[5, "05", "x"])
+    buf = io.StringIO()
+    write_edge_list(g, buf)
+    assert parse_edge_list(buf.getvalue().encode()).labels == g.labels == (5, "05", "x")
 
 
 def test_constructor_rejects_bad_input():

@@ -1,7 +1,8 @@
-"""``import edgeblock`` in a fresh interpreter stays light: scipy's graph
-and dense linear-algebra modules load on first use, numba never.  The
-benchmark's checked probes name functions that still exist, and still read
-the arguments and results they check."""
+"""``import edgeblock`` in a fresh interpreter stays light: it loads no
+scipy module, and neither does the hardness lab; ``scipy.sparse`` loads at
+the first sparse kernel call, numba never.  The benchmark's checked probes
+name functions that still exist, and still read the arguments and results
+they check."""
 
 import importlib
 import importlib.util
@@ -20,6 +21,26 @@ import json
 import sys
 import edgeblock
 print(json.dumps({"numba": edgeblock.NUMBA_ENABLED, "modules": sorted(sys.modules)}))
+"""
+
+# the hardness sweep through the CLI, then a first sparse kernel call
+_HARDNESS_PROBE = r"""
+import contextlib
+import io
+import json
+import sys
+from edgeblock import cli
+from edgeblock.graph import assign_jaccard_weights, from_edge_arrays
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.dispatch(["hardness", "verify", "--sweep-all-small", "3"])
+after_hardness = scipy_modules()
+assign_jaccard_weights(from_edge_arrays(3, [0, 1], [1, 2]))
+print(json.dumps({"code": code, "after_hardness": after_hardness,
+                  "after_jaccard": scipy_modules()}))
 """
 
 # runs a small grid under the benchmark's recorder, as perfbench/child.py
@@ -67,8 +88,16 @@ def _run_probe(script=_PROBE, *args):
 def test_import_loads_no_heavy_modules():
     got = _run_probe()
     assert got["numba"] is False
-    for name in ("numba", "scipy.sparse.csgraph", "scipy.linalg"):
+    for name in ("numba", "scipy"):
         assert not any(m == name or m.startswith(name + ".") for m in got["modules"]), name
+
+
+def test_hardness_lab_loads_no_scipy():
+    got = _run_probe(_HARDNESS_PROBE)
+    assert got["code"] == 0
+    assert got["after_hardness"] == []
+    # the control: the probe would see scipy once a sparse kernel loads it
+    assert "scipy.sparse" in got["after_jaccard"]
 
 
 def test_checked_benchmark_probes_exist():
