@@ -14,10 +14,8 @@ NUMBA_ENABLED = False
 
 from .cascade import (
     SeedSet,
-    enumerate_spread_exact,
     estimate_spread,
     estimate_spreads,
-    exact_spread_unit_weights,
     sample_seed_set,
 )
 from .centrality import ConvergenceError, edge_betweenness, node_closeness, node_pagerank
@@ -26,7 +24,6 @@ from .community import (
     SweepParams,
     inter_community_edges,
     louvain_partition,
-    modularity,
     resolution_sweep,
     sweep_walk,
 )
@@ -48,7 +45,6 @@ from .graph import (
     girth,
     graph_stats,
     parse_edge_list,
-    remove_edges,
     write_edge_list,
 )
 from .hardness import (

@@ -19,9 +19,10 @@ Monte Carlo replicate r is row r of an R x m block of uniforms drawn from
 U[r, e] < w(e) and e is not blocked.  A row depends on neither the
 replicate count nor the chunking, and estimates on one stream with and
 without blocking are coupled pathwise: blocking never raises a replicate's
-spread.  The exact routes run one all-live mask (plain reachability when
-all weights are 1) or all 2^m masks weighted by their probability (tiny
-graphs).
+spread.  Exact expectations need no other primitive: with unit weights
+the spread is one all-live mask, and on a tiny graph it is the sum over
+all 2^m masks weighted by their probability, which is how the test
+suite's exact oracles compute it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import numpy as np
 from .graph import Graph, checked_edge_ids, csr_index, integer_ids
 from .seeding import as_rng, rng_for
 
-_MAX_ENUM_EDGES = 25
 # edge states per chunk of masks (rows x max(m, n)); bounds memory only,
 # since no result depends on where the chunks split
 _CHUNK_ELEMENTS = 1 << 20
@@ -159,33 +159,6 @@ def estimate_spreads(g: Graph, seeds, samples: int, master_seed: int, blocked_se
         return means, [0.0] * len(sets)
     var = [(q - t * t / samples) / (samples - 1) for t, q in sums]
     return means, [math.sqrt(max(v, 0.0) / samples) for v in var]
-
-
-def exact_spread_unit_weights(g: Graph, seeds) -> int:
-    """Exact expected spread when every weight is 1: plain reachability."""
-    if g.m and not np.all(g.w == 1.0):
-        raise ValueError("exact reachability spread requires all weights equal to 1")
-    return int(reach_counts(g, np.ones((g.m, 1), dtype=bool), seeds)[0])
-
-
-def enumerate_spread_exact(g: Graph, seeds) -> float:
-    """Exact expected spread by summing over all live-edge subsets.
-
-    Each edge is independently live with probability equal to its weight;
-    the expected spread is sum over subsets of P(subset) * |reachable|.
-    Mask j has edge e live when bit e of j is set; masks run in chunks.
-    Guarded to m <= 25.
-    """
-    if g.m > _MAX_ENUM_EDGES:
-        raise ValueError(f"live-edge enumeration is limited to m <= {_MAX_ENUM_EDGES}")
-    step = _chunk_rows(g)
-    total = 0.0
-    for lo in range(0, 1 << g.m, step):
-        masks = np.arange(lo, min(lo + step, 1 << g.m), dtype=np.int64)
-        live = (masks[:, None] >> np.arange(g.m)) & 1 == 1
-        prob = np.where(live, g.w, 1.0 - g.w).prod(axis=1)
-        total += float(prob @ reach_counts(g, live.T, seeds))
-    return total
 
 
 def sample_seed_set(g: Graph, fraction: float, rng) -> SeedSet:

@@ -61,10 +61,10 @@ def _flag_errors():
         raise UsageError(str(exc)) from None
 
 
-def _add_graph_arg(p, weights_default="jaccard"):
+def _add_graph_arg(p):
     p.add_argument("--graph", required=True, help="edge-list file (.gz ok)")
     p.add_argument(
-        "--weights", choices=("jaccard", "unit", "file"), default=weights_default,
+        "--weights", choices=("jaccard", "unit", "file"), default="jaccard",
         help="edge weights: recompute by shared-neighbor similarity, force 1, "
              "or keep the file's third column (default: %(default)s)")
 
@@ -107,7 +107,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stats", help="structural summary of a graph")
-    _add_graph_arg(p, weights_default="file")
+    p.add_argument("--graph", required=True, help="edge-list file (.gz ok)")
 
     p = sub.add_parser("weights", help="write a shared-neighbor-weighted edge list")
     p.add_argument("--graph", required=True)
@@ -185,8 +185,7 @@ def _sweep_from_args(args) -> SweepParams:
 
 
 def _cmd_stats(args) -> int:
-    g = _load_graph(args)
-    s = graph_stats(g)
+    s = graph_stats(parse_edge_list(args.graph))
     d = s.diameter if s.connected else f"inf (largest component: {s.diameter})"
     print(f"n          {s.n}")
     print(f"m          {s.m}")
@@ -290,6 +289,8 @@ def _cmd_hardness(args) -> int:
         raise UsageError("give --graph with --k, or --sweep-all-small N")
     if args.graph is not None and (args.k is None or args.k < 1):
         raise UsageError("--graph needs --k >= 1")
+    if args.graph is None and args.k is not None:
+        raise UsageError("--k needs --graph")
     failed = 0
     if args.sweep_all_small is not None:
         checks = sweep_small_instances(args.sweep_all_small, args.construction)

@@ -47,25 +47,6 @@ class Partition:
         return int(self.labels.max()) + 1 if self.labels.size else 0
 
 
-def modularity(g: Graph, partition: Partition, resolution: float = 1.0) -> float:
-    """Direct evaluation of Q for the given partition."""
-    labels = partition.labels
-    if labels.shape[0] != g.n:
-        raise ValueError("partition size does not match node count")
-    if g.m == 0:
-        return 0.0
-    ew = np.ones(g.m)
-    total = float(g.m)
-    c = partition.n_communities
-    intra = np.zeros(c)
-    same = labels[g.eu] == labels[g.ev]
-    np.add.at(intra, labels[g.eu[same]], ew[same])
-    dtot = np.zeros(c)
-    np.add.at(dtot, labels[g.eu], ew)
-    np.add.at(dtot, labels[g.ev], ew)
-    return float((intra / total - resolution * (dtot / (2.0 * total)) ** 2).sum())
-
-
 def _level0(g: Graph):
     """Louvain's level 0 of g, ``(adj, node_k, two_m)``: v's ``(neighbor, 1.0)``
     pairs in CSR slot order, the degrees and 2m.  Read only, so runs share it."""

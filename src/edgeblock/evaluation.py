@@ -270,16 +270,3 @@ def export_svg(report: ContainmentReport, path) -> None:
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")
 
-
-def load_aggregate_csv(path):
-    """Parse an aggregates CSV back into AggregateRow tuples."""
-    rows = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != AGGREGATE_HEADER:
-            raise ValueError("unexpected aggregate CSV header")
-        for line in fh:
-            net, strat, pct, mean, std, nss = line.strip().split(",")
-            rows.append((net, AggregateRow(strat, float(pct) / 100.0,
-                                           float(mean), float(std), int(nss))))
-    return rows

@@ -74,27 +74,10 @@ class Graph:
         np.add.at(out, self.ev, self.w)
         return out
 
-    def edge_tuple(self, e: int) -> tuple[int, int, float]:
-        (e,) = checked_edge_ids(self, [e])
-        return int(self.eu[e]), int(self.ev[e]), float(self.w[e])
-
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.nbrs[self.indptr[v]:self.indptr[v + 1]]
-
     def with_weights(self, w: np.ndarray) -> "Graph":
         """Same structure, new per-edge weights; the read-only structure
         arrays are shared, not copied."""
         return replace(self, w=_freeze(np.array(_checked_weights(w, self.m))))
-
-    def same_structure(self, other: "Graph") -> bool:
-        """Structural equality: node count, edge pairs and exact weights."""
-        return (
-            self.n == other.n
-            and self.m == other.m
-            and bool(np.array_equal(self.eu, other.eu))
-            and bool(np.array_equal(self.ev, other.ev))
-            and bool(np.array_equal(self.w, other.w))
-        )
 
     def label_of(self, v: int):
         return self.labels[v] if self.labels is not None else v
@@ -475,10 +458,3 @@ def checked_edge_ids(g: Graph, edge_ids) -> np.ndarray:
     if bad.size:
         raise ValueError(f"edge id {bad[0]} out of range [0, {g.m})")
     return ids
-
-
-def remove_edges(g: Graph, edge_ids) -> Graph:
-    """New Graph without the given canonical edge ids; nodes unchanged."""
-    keep = np.ones(g.m, dtype=bool)
-    keep[checked_edge_ids(g, edge_ids)] = False
-    return from_edge_arrays(g.n, g.eu[keep], g.ev[keep], g.w[keep], labels=g.labels)

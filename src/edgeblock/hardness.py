@@ -40,7 +40,7 @@ import numpy as np
 
 from .cascade import SeedSet, is_connected, reach_counts
 from .generators import MAX_ENUM_NODES, connected_graphs_upto_iso
-from .graph import Graph, checked_edge_ids, from_edge_arrays, girth
+from .graph import Graph, from_edge_arrays, girth
 
 _MAX_DS_NODES = 18
 _MAX_BLOCKING_SUBSETS = 5_000_000
@@ -167,14 +167,6 @@ def brute_force_edge_blocking(g: Graph, k: int, seeds, arcs=None) -> BruteForceR
         if white[j] > best:
             best, witness = int(white[j]), tuple(int(e) for e in chunk[j])
     return BruteForceResult(best, witness)
-
-
-def white_count_after_blocking(g: Graph, edge_ids, seeds, arcs=None) -> int:
-    """Independent re-check of a blocking witness; ``arcs`` as in :func:`cascade.reach_counts`."""
-    _require_unit_weights(g)
-    live = np.ones((g.m, 1), dtype=bool)
-    live[checked_edge_ids(g, edge_ids)] = False
-    return g.n - int(reach_counts(g, live, seeds, arcs)[0])
 
 
 @dataclass(frozen=True)

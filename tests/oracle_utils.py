@@ -1,11 +1,15 @@
 """Independent brute-force oracles used to pin expected values.
 
-Everything here recomputes quantities from first principles (path
+The oracles recompute quantities from first principles (path
 enumeration, triple loops, dense linear algebra, exhaustive partitions,
-the cascade's round-by-round states) and stays independent of the
-library's own algorithms.  The last section
-keeps the array kernels that the library's sequential helpers replaced, as
-bit-identity references.
+the cascade's round-by-round states) and stay independent of the
+library's own algorithms.  The helpers section after them holds graph
+surgery, modularity, the aggregates CSV reader and the exact spreads,
+which only the tests use; those deliberately call the library's
+``reach_counts`` and ``from_edge_arrays``, so the exact spreads exercise
+the one spread primitive rather than a second reachability.  The last
+section keeps the array kernels that the library's sequential helpers
+replaced, as bit-identity references.
 """
 
 import functools
@@ -15,10 +19,14 @@ import math
 
 import numpy as np
 
+from edgeblock.cascade import reach_counts
+from edgeblock.evaluation import AGGREGATE_HEADER, AggregateRow
+from edgeblock.graph import checked_edge_ids, from_edge_arrays
+
 
 def brute_triangles(g):
     count = 0
-    nbr = [set(map(int, g.neighbors(v))) for v in range(g.n)]
+    nbr = [set(neighbors(g, v).tolist()) for v in range(g.n)]
     for a, b, c in itertools.combinations(range(g.n), 3):
         if b in nbr[a] and c in nbr[a] and c in nbr[b]:
             count += 1
@@ -29,7 +37,7 @@ def brute_girth(g):
     """Shortest cycle through each edge: dist(u, v) in G - e, plus one."""
     best = math.inf
     for e in range(g.m):
-        u, v, _ = g.edge_tuple(e)
+        u, v = int(g.eu[e]), int(g.ev[e])
         dist = _bfs_dist_without_edge(g, u, e)
         if dist[v] < math.inf:
             best = min(best, dist[v] + 1)
@@ -139,7 +147,7 @@ def dense_pagerank(g, damping=0.85, tol=1e-12, max_iter=100000):
     n = g.n
     a = np.zeros((n, n))
     for e in range(g.m):
-        u, v, _ = g.edge_tuple(e)
+        u, v = int(g.eu[e]), int(g.ev[e])
         a[u, v] = 1.0
         a[v, u] = 1.0
     deg = a.sum(axis=0)
@@ -171,7 +179,7 @@ def set_partitions(items):
 
 def best_modularity_exhaustive(g, resolution=1.0):
     """Max modularity over every partition of the node set (tiny n only)."""
-    from edgeblock.community import Partition, modularity
+    from edgeblock.community import Partition
 
     best_q = -math.inf
     best_labels = None
@@ -309,6 +317,108 @@ def edge_blocking_reference(g, k, seeds, arcs=None):
         eids += [e for _, e in row]
         indptr.append(len(nbrs))
     return best_edge_blocking(indptr, nbrs, eids, g.m, k, seeds)
+
+
+# ---------------------------------------------------------------------------
+# Helpers only the tests use.  They build on the library's from_edge_arrays
+# and reach_counts, so they are not independent oracles.
+# ---------------------------------------------------------------------------
+
+_MAX_ENUM_EDGES = 25
+_ENUM_MASKS = 1 << 12      # live-edge masks per reach_counts call
+
+
+def edge_tuple(g, e):
+    """(u, v, weight) of edge id e; ValueError on an id outside [0, m)."""
+    (e,) = checked_edge_ids(g, [e])
+    return int(g.eu[e]), int(g.ev[e]), float(g.w[e])
+
+
+def neighbors(g, v):
+    return g.nbrs[g.indptr[v]:g.indptr[v + 1]]
+
+
+def same_structure(g, h):
+    """Structural equality: node count, edge pairs and exact weights."""
+    return (
+        g.n == h.n
+        and g.m == h.m
+        and bool(np.array_equal(g.eu, h.eu))
+        and bool(np.array_equal(g.ev, h.ev))
+        and bool(np.array_equal(g.w, h.w))
+    )
+
+
+def remove_edges(g, edge_ids):
+    """New Graph without the given canonical edge ids; nodes unchanged."""
+    keep = np.ones(g.m, dtype=bool)
+    keep[checked_edge_ids(g, edge_ids)] = False
+    return from_edge_arrays(g.n, g.eu[keep], g.ev[keep], g.w[keep], labels=g.labels)
+
+
+def modularity(g, partition, resolution=1.0):
+    """Direct evaluation of the unweighted Q for the given partition."""
+    labels = partition.labels
+    if labels.shape[0] != g.n:
+        raise ValueError("partition size does not match node count")
+    if g.m == 0:
+        return 0.0
+    ew = np.ones(g.m)
+    total = float(g.m)
+    c = partition.n_communities
+    intra = np.zeros(c)
+    same = labels[g.eu] == labels[g.ev]
+    np.add.at(intra, labels[g.eu[same]], ew[same])
+    dtot = np.zeros(c)
+    np.add.at(dtot, labels[g.eu], ew)
+    np.add.at(dtot, labels[g.ev], ew)
+    return float((intra / total - resolution * (dtot / (2.0 * total)) ** 2).sum())
+
+
+def load_aggregate_csv(path):
+    """Parse an aggregates CSV back into (network, AggregateRow) pairs."""
+    rows = []
+    with open(path) as fh:
+        if fh.readline().strip() != AGGREGATE_HEADER:
+            raise ValueError("unexpected aggregate CSV header")
+        for line in fh:
+            net, strat, pct, mean, std, nss = line.strip().split(",")
+            rows.append((net, AggregateRow(strat, float(pct) / 100.0,
+                                           float(mean), float(std), int(nss))))
+    return rows
+
+
+def white_count_after_blocking(g, edge_ids, seeds, arcs=None):
+    """Nodes ``seeds`` do not reach once ``edge_ids`` are dead (unit weights
+    only), to re-check a blocking witness; ``arcs`` as in ``reach_counts``."""
+    if g.m and not np.all(g.w == 1.0):
+        raise ValueError("reachability spread requires all weights equal to 1")
+    live = np.ones((g.m, 1), dtype=bool)
+    live[checked_edge_ids(g, edge_ids)] = False
+    return g.n - int(reach_counts(g, live, seeds, arcs)[0])
+
+
+def exact_spread_unit_weights(g, seeds):
+    """Exact expected spread when every weight is 1: plain reachability."""
+    return g.n - white_count_after_blocking(g, (), seeds)
+
+
+def enumerate_spread_exact(g, seeds):
+    """Exact expected spread by summing over all live-edge subsets.
+
+    Each edge is independently live with probability equal to its weight;
+    the expected spread is sum over subsets of P(subset) * |reachable|.
+    Mask j has edge e live when bit e of j is set.  Guarded to m <= 25.
+    """
+    if g.m > _MAX_ENUM_EDGES:
+        raise ValueError(f"live-edge enumeration is limited to m <= {_MAX_ENUM_EDGES}")
+    total = 0.0
+    for lo in range(0, 1 << g.m, _ENUM_MASKS):
+        masks = np.arange(lo, min(lo + _ENUM_MASKS, 1 << g.m), dtype=np.int64)
+        live = (masks[:, None] >> np.arange(g.m)) & 1 == 1
+        prob = np.where(live, g.w, 1.0 - g.w).prod(axis=1)
+        total += float(prob @ reach_counts(g, live.T, seeds))
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,8 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components, shor
 from edgeblock import cascade as cascade_mod
 from edgeblock.cascade import (
     SeedSet,
-    enumerate_spread_exact,
     estimate_spread,
     estimate_spreads,
-    exact_spread_unit_weights,
     is_connected,
     reach_counts,
     sample_seed_set,
@@ -20,10 +18,16 @@ from edgeblock.generators import (
     random_connected_graph,
     with_random_weights,
 )
-from edgeblock.graph import from_edge_arrays, remove_edges
+from edgeblock.graph import from_edge_arrays
 from edgeblock.hardness import expand_to_blocking_instance
 from edgeblock.seeding import rng_for
-from oracle_utils import brute_expected_spread, round_model_expected_spread
+from oracle_utils import (
+    brute_expected_spread,
+    enumerate_spread_exact,
+    exact_spread_unit_weights,
+    remove_edges,
+    round_model_expected_spread,
+)
 
 P3 = from_edge_arrays(3, [0, 1], [1, 2])
 HALF_P3 = P3.with_weights(np.array([0.5, 0.5]))

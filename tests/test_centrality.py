@@ -50,8 +50,7 @@ def test_closeness_matches_direct_formula():
             queue = collections.deque([v])
             while queue:
                 u = queue.popleft()
-                for w in g.neighbors(u):
-                    w = int(w)
+                for w in g.nbrs[g.indptr[u]:g.indptr[u + 1]].tolist():
                     if w not in dist:
                         dist[w] = dist[u] + 1
                         queue.append(w)

@@ -180,7 +180,8 @@ def test_hardness_requires_args(capsys):
 def test_usage_and_runtime_errors(tmp_path, capsys):
     assert dispatch(["nonsense"]) == 1
     assert dispatch(["stats", "--graph", "/does/not/exist"]) == 2
-    assert dispatch(["stats", "--graph", __file__, "--bogus-flag"]) == 1
+    for bad in (["--bogus-flag"], ["--weights", "jaccard"]):
+        assert dispatch(["stats", "--graph", __file__, *bad]) == 1, bad
     # invalid flags are usage errors, found before the (missing) graph is read
     missing = ["--graph", "/does/not/exist"]
     evaluate = ["evaluate", *missing, "--out", str(tmp_path / "out")]
@@ -199,7 +200,8 @@ def test_usage_and_runtime_errors(tmp_path, capsys):
         assert dispatch(["block", *missing, "--strategy", "community", *bad]) == 1, bad
     for bad in (["--samples", "0"], ["--seed-fraction", "0"]):
         assert dispatch(["simulate", *missing, *bad]) == 1, bad
-    assert dispatch(["hardness", "verify", *missing, "--k", "0"]) == 1
+    for bad in ([*missing, "--k", "0"], ["--sweep-all-small", "2", "--k", "2"]):
+        assert dispatch(["hardness", "verify", *bad]) == 1, bad
     for n in ("7", "1"):
         assert dispatch(["hardness", "verify", "--sweep-all-small", n]) == 1, n
     # a dot file's stem is the empty network name

@@ -10,7 +10,6 @@ from edgeblock.community import (
     SweepParams,
     inter_community_edges,
     louvain_partition,
-    modularity,
     resolution_sweep,
     sweep_walk,
 )
@@ -18,7 +17,7 @@ from edgeblock.generators import gnm_random_graph, planted_partition, random_con
 from edgeblock.graph import from_edge_arrays
 from edgeblock.seeding import rng_for
 from edgeblock.strategies import blocked_sets
-from oracle_utils import best_modularity_exhaustive, resolution_sweep_reference
+from oracle_utils import best_modularity_exhaustive, modularity, resolution_sweep_reference
 
 # two triangles joined by one bridge: nodes 0-2 and 3-5, bridge (2, 3)
 TT = from_edge_arrays(6, [0, 0, 1, 2, 3, 3, 4], [1, 2, 2, 3, 4, 5, 5])
@@ -109,8 +108,7 @@ def test_inter_community_edges_trivials():
     assert inter_community_edges(TT, Partition(np.arange(6))).size == TT.m
     bridge_only = inter_community_edges(TT, Partition(np.array([0, 0, 0, 1, 1, 1])))
     assert bridge_only.tolist() == [3]
-    u, v, _ = TT.edge_tuple(3)
-    assert (u, v) == (2, 3)
+    assert (TT.eu[3], TT.ev[3]) == (2, 3)
 
 
 def test_sweep_finds_bridge():

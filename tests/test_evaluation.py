@@ -16,7 +16,6 @@ from edgeblock.evaluation import (
     containment_factor,
     export_csv,
     export_svg,
-    load_aggregate_csv,
     run_experiment,
     summarize_report,
 )
@@ -24,6 +23,7 @@ from edgeblock.generators import planted_partition, with_random_weights
 from edgeblock.graph import from_edge_arrays
 from edgeblock.seeding import TAG_CASCADE, TAG_SEED_SETS, replicate_seed_bits, rng_for
 from edgeblock.strategies import blocked_edges
+from oracle_utils import load_aggregate_csv
 
 P3 = from_edge_arrays(3, [0, 1], [1, 2])
 

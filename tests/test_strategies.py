@@ -46,9 +46,8 @@ def test_wdeg_scores():
     g = P4
     wdeg = np.zeros(4)
     for e in range(g.m):
-        u, v, w = g.edge_tuple(e)
-        wdeg[u] += w
-        wdeg[v] += w
+        wdeg[g.eu[e]] += g.w[e]
+        wdeg[g.ev[e]] += g.w[e]
     expect = [wdeg[int(g.eu[e])] + wdeg[int(g.ev[e])] for e in range(g.m)]
     assert np.allclose(score_edges(g, "wdeg"), expect)
 
