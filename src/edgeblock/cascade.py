@@ -12,7 +12,9 @@ live, independently, with probability equal to their weight (the live-edge
 view of Kempe, Kleinberg & Tardos, KDD 2003); a node turns red in the round
 equal to its live hop distance from the seeds.  Every spread computation
 here is therefore one primitive, :func:`reach_counts`: reachability over a
-batch of live-edge masks, bool[m, masks], that only it packs to bits.
+batch of live-edge masks, bool[m, masks], that only it packs to bits:
+64 masks to a uint64 word, each edge's and node's row padded to whole
+words, with the lanes past ``masks`` dropped from the counts.
 
 Monte Carlo replicate r is row r of an R x m block of uniforms drawn from
 ``rng_for(master_seed)``, one per canonical edge id; edge e is live when
@@ -85,26 +87,37 @@ def reach_counts(g: Graph, live: np.ndarray, seeds, arcs=None) -> np.ndarray:
     ``live`` is bool[m, masks]: edge e is live in mask j when
     ``live[e, j]``.  Every edge conducts both ways; with ``arcs``
     (int64[m, 2]) edge e conducts only from ``arcs[e, 0]`` to
-    ``arcs[e, 1]``.  Reach is held as uint8[n, ceil(masks / 8)] with the
-    masks packed as by ``np.packbits`` (bit j of row v set when mask j
-    reaches v), the seed rows all ones.  A sweep ORs ``reach[tail] &
-    live[arc]`` into ``reach[head]`` for all arcs at once, so sweep t adds
-    the nodes t live hops from the seeds (round t of the module docstring);
-    sweeps run until one adds nothing.
+    ``arcs[e, 1]``.  ValueError unless ``live`` is 2-D with exactly m rows.
+
+    Each edge's masks are packed as by ``np.packbits``, zero-padded to
+    whole 8-byte words and viewed as uint64, 64 masks per word.  Reach is
+    uint64[n, ceil(masks / 64)] in the same layout (mask j's bit of row v
+    set when mask j reaches v), the seed rows all ones, padding lanes
+    included.  A sweep ORs ``reach[tail] & live[arc]`` into
+    ``reach[head]`` for all arcs at once, so sweep t adds the nodes t live
+    hops from the seeds (round t of the module docstring); sweeps run
+    until one adds nothing.  The counts unpack reach through its uint8
+    view with ``count=masks``, so the lanes past ``masks`` are dropped.
     """
+    live = np.asarray(live)
+    if live.ndim != 2 or live.shape[0] != g.m:
+        raise ValueError("live must hold one row of masks per edge")
     indptr, tails, eid = _in_arcs(g, arcs)
-    bits = np.packbits(live, axis=1)[eid]
+    masks = live.shape[1]
+    packed = np.zeros((g.m, -(-masks // 64) * 8), dtype=np.uint8)
+    packed[:, :(masks + 7) // 8] = np.packbits(live, axis=1)
+    bits = packed.view(np.uint64)[eid]
     targets = np.flatnonzero(np.diff(indptr))
     starts = indptr[targets]
-    reach = np.zeros((g.n, bits.shape[1]), dtype=np.uint8)
-    reach[_seed_array(g, seeds)] = 0xFF
+    reach = np.zeros((g.n, bits.shape[1]), dtype=np.uint64)
+    reach[_seed_array(g, seeds)] = ~np.uint64(0)
     while targets.size:
         cur = reach[targets]
         grown = np.bitwise_or.reduceat(reach[tails] & bits, starts, axis=0) | cur
         if np.array_equal(grown, cur):
             break
         reach[targets] = grown
-    return np.unpackbits(reach, axis=1, count=live.shape[1]).sum(axis=0, dtype=np.int64)
+    return np.unpackbits(reach.view(np.uint8), axis=1, count=masks).sum(axis=0, dtype=np.int64)
 
 
 def is_connected(g: Graph) -> bool:

@@ -192,9 +192,13 @@ def test_reach_counts_match_bfs_oracle():
         cases.append((inst.graph, inst.arcs))
     for g, arcs in cases:
         tails, heads = (g.eu, g.ev) if arcs is None else (arcs[:, 0], arcs[:, 1])
-        for masks in (1, 13, 16):
+        # mask counts on each side of the 64-mask word boundaries
+        for masks in (0, 1, 13, 16, 63, 64, 65, 130):
             live = rng.random((g.m, masks)) < 0.6
             seeds = rng.choice(g.n, 2, replace=False)
+            # with every edge dead a mask reaches only the seeds, so no
+            # padding lane past ``masks`` is counted
+            assert reach_counts(g, np.zeros_like(live), seeds, arcs).tolist() == [2] * masks
             oracle = []
             for col in live.T:
                 a = csr_matrix((np.ones(col.sum()), (tails[col], heads[col])), shape=(g.n, g.n))
@@ -287,6 +291,11 @@ def test_seed_validation():
         with pytest.raises(ValueError):
             reach_counts(P3, live, bad)
     assert SeedSet.of([]).size == 0 and SeedSet.of(np.array([], dtype=float)).size == 0
+    # live must be 2-D with one row per edge: extra rows are not ignored
+    for bad in (np.ones((5, 2), dtype=bool), np.ones((1, 2), dtype=bool),
+                np.ones(P3.m, dtype=bool), np.ones((P3.m, 1, 1), dtype=bool)):
+        with pytest.raises(ValueError):
+            reach_counts(P3, bad, [0])
     assert SeedSet.of(np.array([2, 0, 2], dtype=np.uint8)).nodes.tolist() == [0, 2]
 
 
