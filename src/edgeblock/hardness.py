@@ -132,6 +132,46 @@ def _require_unit_weights(g: Graph) -> None:
         raise ValueError("edge-blocking optima require unit weights")
 
 
+def _binomial_table(m: int, k: int) -> np.ndarray:
+    """int64[k + 1, m - k + 1] with entry [i, t] = C(i - 1 + t, i).
+
+    Row i is the column of C(x, i) over the x that position k - i of a
+    k-subset of range(m) can reach in :func:`_lex_subsets`, so no entry
+    exceeds C(m - 1, k).  A table over every x in 0..m would not fit int64
+    at m = 70 and k = 68, where it holds C(70, 35) ~ 1.1e20 while
+    C(70, 68) = 2,415 is far under the enumeration guard.
+    """
+    table = np.ones((k + 1, m - k + 1), dtype=np.int64)
+    table[0, 0] = 0                     # C(-1, 0), taken as 0 so every row starts at 0
+    for i in range(1, k + 1):
+        np.cumsum(table[i - 1], out=table[i])       # hockey stick: C(x, i) = sum C(y, i - 1)
+    return table
+
+
+def _lex_subsets(table: np.ndarray, m: int, k: int, start: int, s: int) -> np.ndarray:
+    """Rows start .. start + s - 1 of ``itertools.combinations(range(m), k)``
+    as int64[s, k], unranked from their ranks with the combinatorial number
+    system (Knuth, TAOCP 4A, 7.2.1.3); ``table`` is ``_binomial_table(m, k)``.
+
+    Lexicographic rank r of (c_0 < ... < c_(k-1)) is C(m, k) - 1 - N with
+    N = sum_j C(m - 1 - c_j, k - j), and the terms of N are read off
+    greedily: position j takes the largest C(x, k - j) <= N by one
+    ``searchsorted`` over every row at once, then subtracts it.  The last
+    term is C(x, 1) = x = N itself.  Each position is one contiguous row
+    of the int64[k, s] block that the returned array views.
+    """
+    n_rest = math.comb(m, k) - 1 - np.arange(start, start + s, dtype=np.int64)
+    cols = np.empty((k, s), dtype=np.int64)
+    for j in range(k - 1):
+        col = table[k - j]
+        t = np.searchsorted(col, n_rest, side="right") - 1
+        n_rest -= col[t]
+        np.subtract(m - k + j, t, out=cols[j])     # x = k - j - 1 + t and c_j = m - 1 - x
+    if k:
+        np.subtract(m - 1, n_rest, out=cols[k - 1])
+    return cols.T
+
+
 def brute_force_edge_blocking(g: Graph, k: int, seeds, arcs=None) -> BruteForceResult:
     """Max white (unreachable) node count over all k-edge removals.
 
@@ -142,8 +182,11 @@ def brute_force_edge_blocking(g: Graph, k: int, seeds, arcs=None) -> BruteForceR
     ``itertools.combinations(range(m), k)``, in chunks of
     ``_BLOCKING_CHUNK``, and each subset is one live-edge mask of
     :func:`cascade.reach_counts` (its edges dead, all others live), so a
-    chunk costs one sweep per hop of the longest shortest path.  Memory is
-    about m * ``_BLOCKING_CHUNK`` bytes whatever C(m, k) is.  Only a strict
+    chunk costs one sweep per hop of the longest shortest path.  A chunk's
+    subsets are built from their lexicographic ranks in k vectorised steps
+    (:func:`_lex_subsets`), with no Python work per subset.  Memory is
+    about (m + 8k) * ``_BLOCKING_CHUNK`` bytes, the live-edge block and the
+    chunk's int64 subsets, whatever C(m, k) is.  Only a strict
     improvement replaces the best, so the witness is the first
     lexicographic maximizer.
     """
@@ -154,15 +197,14 @@ def brute_force_edge_blocking(g: Graph, k: int, seeds, arcs=None) -> BruteForceR
     if total > _MAX_BLOCKING_SUBSETS:
         raise ValueError(
             f"C({g.m}, {k}) subsets exceed the enumeration guard of {_MAX_BLOCKING_SUBSETS}")
-    subsets = itertools.combinations(range(g.m), k)
+    table = _binomial_table(g.m, k)
     best, witness = -1, ()
     for done in range(0, total, _BLOCKING_CHUNK):
         s = min(_BLOCKING_CHUNK, total - done)
-        chunk = np.fromiter(itertools.chain.from_iterable(itertools.islice(subsets, s)),
-                            np.int64, count=s * k).reshape(s, k)
-        blocked = np.zeros((g.m, s), dtype=bool)
-        blocked[chunk, np.arange(s)[:, None]] = True
-        white = g.n - reach_counts(g, ~blocked, seeds, arcs)
+        chunk = _lex_subsets(table, g.m, k, done, s)
+        live = np.ones((g.m, s), dtype=bool)
+        live[chunk.T, np.arange(s)] = False
+        white = g.n - reach_counts(g, live, seeds, arcs)
         j = int(np.argmax(white))
         if white[j] > best:
             best, witness = int(white[j]), tuple(int(e) for e in chunk[j])
@@ -196,12 +238,11 @@ def verify_reduction(h: Graph, k: int, construction: str = "undirected") -> Redu
     if not is_connected(h):
         raise ValueError("source graph must be connected")
     gr = girth(h)
+    ds = brute_force_densest_subgraph(h, k)
     if k < gr:
-        ds = brute_force_densest_subgraph(h, k)
         return ReductionCheck(k, gr, "below_girth", ds.value, None, ds.value == k - 1,
                               construction)
     inst = _hub_expansion(h, construction)
-    ds = brute_force_densest_subgraph(h, k)
     eb = brute_force_edge_blocking(inst.graph, k, inst.seeds, inst.arcs)
     return ReductionCheck(k, gr, "expansion", ds.value, eb.value, ds.value == eb.value - k,
                           construction)

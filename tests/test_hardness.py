@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,8 @@ from edgeblock.graph import from_edge_arrays, girth
 from edgeblock.hardness import (
     _BLOCKING_CHUNK,
     CONSTRUCTIONS,
+    _binomial_table,
+    _lex_subsets,
     brute_force_densest_subgraph,
     brute_force_edge_blocking,
     expand_to_blocking_instance,
@@ -135,6 +138,39 @@ def test_blocking_matches_loop_reference():
         assert (res.value, res.witness) == edge_blocking_reference(g, k, seeds, arcs), (g.m, k)
         largest = max(largest, math.comb(g.m, k))
     assert largest > 2 * _BLOCKING_CHUNK    # K5 expansion, k = 4: 12,650 subsets
+
+
+def test_lex_subsets_match_combinations():
+    # chunks of 7 rows, so seams fall mid-list, against itertools' own order
+    for m in range(13):
+        for k in range(m + 1):
+            total = math.comb(m, k)
+            table = _binomial_table(m, k)
+            assert table.shape == (k + 1, m - k + 1)
+            assert table.max() <= total
+            rows = np.concatenate([_lex_subsets(table, m, k, done, min(7, total - done))
+                                   for done in range(0, total, 7)])
+            want = np.array(list(itertools.combinations(range(m), k)), dtype=np.int64)
+            assert np.array_equal(rows, want.reshape(total, k)), (m, k)
+
+
+def test_blocking_matches_loop_reference_across_chunk_seams(monkeypatch):
+    monkeypatch.setattr(hardness_mod, "_BLOCKING_CHUNK", 7)
+    for g, k, seeds, arcs in _blocking_cases():
+        res = brute_force_edge_blocking(g, k, seeds, arcs)
+        assert (res.value, res.witness) == edge_blocking_reference(g, k, seeds, arcs), (g.m, k)
+
+
+def test_blocking_near_full_budget_on_many_edges():
+    # m = 70 and k >= 68: C(x, k - j) over every x in 0..m would need
+    # C(70, 35) ~ 1.1e20, past int64; only the reachable x range fits
+    path = from_edge_arrays(71, np.arange(70), np.arange(1, 71))
+    star = from_edge_arrays(71, np.zeros(70, dtype=np.int64), np.arange(1, 71))
+    for g, seeds in ((path, [70]), (path, [35]), (star, [0]), (star, [64])):
+        for k in (68, 69, 70):
+            assert _binomial_table(g.m, k).max() <= math.comb(g.m, k)
+            res = brute_force_edge_blocking(g, k, seeds)
+            assert (res.value, res.witness) == edge_blocking_reference(g, k, seeds), (k, seeds)
 
 
 def test_verify_below_girth_cases():
