@@ -136,7 +136,7 @@ def _binomial_table(m: int, k: int) -> np.ndarray:
     """int64[k + 1, m - k + 1] with entry [i, t] = C(i - 1 + t, i).
 
     Row i is the column of C(x, i) over the x that position k - i of a
-    k-subset of range(m) can reach in :func:`_lex_subsets`, so no entry
+    k-subset of range(m) can reach in :func:`_lex_columns`, so no entry
     exceeds C(m - 1, k).  A table over every x in 0..m would not fit int64
     at m = 70 and k = 68, where it holds C(70, 35) ~ 1.1e20 while
     C(70, 68) = 2,415 is far under the enumeration guard.
@@ -148,28 +148,94 @@ def _binomial_table(m: int, k: int) -> np.ndarray:
     return table
 
 
-def _lex_subsets(table: np.ndarray, m: int, k: int, start: int, s: int) -> np.ndarray:
-    """Rows start .. start + s - 1 of ``itertools.combinations(range(m), k)``
-    as int64[s, k], unranked from their ranks with the combinatorial number
+def _lex_columns(table: np.ndarray, m: int, k: int, start: int, s: int):
+    """Positions 0 .. k - 1 of rows start .. start + s - 1 of
+    ``itertools.combinations(range(m), k)``, one fresh int64[s] column per
+    position, unranked from their ranks with the combinatorial number
     system (Knuth, TAOCP 4A, 7.2.1.3); ``table`` is ``_binomial_table(m, k)``.
 
     Lexicographic rank r of (c_0 < ... < c_(k-1)) is C(m, k) - 1 - N with
     N = sum_j C(m - 1 - c_j, k - j), and the terms of N are read off
     greedily: position j takes the largest C(x, k - j) <= N by one
     ``searchsorted`` over every row at once, then subtracts it.  The last
-    term is C(x, 1) = x = N itself.  Each position is one contiguous row
-    of the int64[k, s] block that the returned array views.
+    term is C(x, 1) = x = N itself.
     """
     n_rest = math.comb(m, k) - 1 - np.arange(start, start + s, dtype=np.int64)
-    cols = np.empty((k, s), dtype=np.int64)
     for j in range(k - 1):
         col = table[k - j]
         t = np.searchsorted(col, n_rest, side="right") - 1
         n_rest -= col[t]
-        np.subtract(m - k + j, t, out=cols[j])     # x = k - j - 1 + t and c_j = m - 1 - x
+        yield np.subtract(m - k + j, t)      # x = k - j - 1 + t and c_j = m - 1 - x
     if k:
-        np.subtract(m - 1, n_rest, out=cols[k - 1])
-    return cols.T
+        yield np.subtract(m - 1, n_rest)
+
+
+def _segment_chunks(m: int, ks):
+    """The subsets of every k in ``ks`` as chunks of at most
+    ``_BLOCKING_CHUNK`` masks; a chunk is a list of segments ``(k, first
+    rank, count)`` laid back to back, and a k's segments come in rank order."""
+    segments, filled = [], 0
+    for k in ks:
+        total, done = math.comb(m, k), 0
+        while done < total:
+            count = min(_BLOCKING_CHUNK - filled, total - done)
+            segments.append((k, done, count))
+            filled += count
+            done += count
+            if filled == _BLOCKING_CHUNK:
+                yield segments
+                segments, filled = [], 0
+    if segments:
+        yield segments
+
+
+def _blocking_optima(g: Graph, ks, seeds, arcs) -> list[BruteForceResult]:
+    """:func:`brute_force_edge_blocking` for every k in ``ks``, in order,
+    from one enumeration.
+
+    Each k contributes its C(m, k) subsets as segments ``(k, first rank,
+    count)``, packed back to back into chunks of at most
+    ``_BLOCKING_CHUNK`` masks, so segments of different k share a chunk
+    and each chunk is one :func:`cascade.reach_counts` call.  A segment's
+    columns go straight into the flattened live-edge block, and only the
+    winning rank of each k is unranked again for its witness.
+    """
+    _require_unit_weights(g)
+    m = g.m
+    for k in ks:
+        if not 0 <= k <= m:
+            raise ValueError("k must satisfy 0 <= k <= m")
+        if math.comb(m, k) > _MAX_BLOCKING_SUBSETS:
+            raise ValueError(
+                f"C({m}, {k}) subsets exceed the enumeration guard of {_MAX_BLOCKING_SUBSETS}")
+    tables = {k: _binomial_table(m, k) for k in ks}
+    best = {k: (-1, 0) for k in ks}          # (white count, rank of the first maximizer)
+    for segments in _segment_chunks(m, ks):
+        s = sum(count for _, _, count in segments)
+        live = np.ones(m * s, dtype=bool)    # live[e * s + lane], bool[m, s] flattened
+        offset = 0
+        for k, first, count in segments:
+            lanes = np.arange(offset, offset + count, dtype=np.int64)
+            for col in _lex_columns(tables[k], m, k, first, count):
+                col *= s
+                col += lanes
+                live[col] = False
+            offset += count
+        white = g.n - reach_counts(g, live.reshape(m, s), seeds, arcs)
+        offset = 0
+        for k, first, count in segments:
+            seg = white[offset:offset + count]
+            j = int(np.argmax(seg))
+            # strict improvement only: each k keeps its first lexicographic maximizer
+            if seg[j] > best[k][0]:
+                best[k] = (int(seg[j]), first + j)
+            offset += count
+    results = []
+    for k in ks:
+        value, rank = best[k]
+        witness = tuple(int(col[0]) for col in _lex_columns(tables[k], m, k, rank, 1))
+        results.append(BruteForceResult(value, witness))
+    return results
 
 
 def brute_force_edge_blocking(g: Graph, k: int, seeds, arcs=None) -> BruteForceResult:
@@ -184,31 +250,15 @@ def brute_force_edge_blocking(g: Graph, k: int, seeds, arcs=None) -> BruteForceR
     :func:`cascade.reach_counts` (its edges dead, all others live), so a
     chunk costs one sweep per hop of the longest shortest path.  A chunk's
     subsets are built from their lexicographic ranks in k vectorised steps
-    (:func:`_lex_subsets`), with no Python work per subset.  Memory is
-    about (m + 8k) * ``_BLOCKING_CHUNK`` bytes, the live-edge block and the
-    chunk's int64 subsets, whatever C(m, k) is.  Only a strict
+    (:func:`_lex_columns`), with no Python work per subset, and each step's
+    column is written straight into the live-edge block.  Memory is about
+    m * ``_BLOCKING_CHUNK`` bytes, the live-edge block, plus O(chunk)
+    int64 temporaries, whatever k and C(m, k) are.  Only a strict
     improvement replaces the best, so the witness is the first
-    lexicographic maximizer.
+    lexicographic maximizer.  This is the one-k call of
+    :func:`_blocking_optima`.
     """
-    _require_unit_weights(g)
-    if not 0 <= k <= g.m:
-        raise ValueError("k must satisfy 0 <= k <= m")
-    total = math.comb(g.m, k)
-    if total > _MAX_BLOCKING_SUBSETS:
-        raise ValueError(
-            f"C({g.m}, {k}) subsets exceed the enumeration guard of {_MAX_BLOCKING_SUBSETS}")
-    table = _binomial_table(g.m, k)
-    best, witness = -1, ()
-    for done in range(0, total, _BLOCKING_CHUNK):
-        s = min(_BLOCKING_CHUNK, total - done)
-        chunk = _lex_subsets(table, g.m, k, done, s)
-        live = np.ones((g.m, s), dtype=bool)
-        live[chunk.T, np.arange(s)] = False
-        white = g.n - reach_counts(g, live, seeds, arcs)
-        j = int(np.argmax(white))
-        if white[j] > best:
-            best, witness = int(white[j]), tuple(int(e) for e in chunk[j])
-    return BruteForceResult(best, witness)
+    return _blocking_optima(g, [k], seeds, arcs)[0]
 
 
 @dataclass(frozen=True)
@@ -237,30 +287,51 @@ def verify_reduction(h: Graph, k: int, construction: str = "undirected") -> Redu
         raise ValueError("k must not exceed the node count")
     if not is_connected(h):
         raise ValueError("source graph must be connected")
+    return _graph_checks(h, [k], construction)[0]
+
+
+def _graph_checks(h: Graph, ks, construction: str) -> list[ReductionCheck]:
+    """:func:`verify_reduction` of a connected graph h for every k in
+    ``ks``, with one girth, at most one hub expansion and one blocking
+    enumeration for all the k at or above the girth."""
     gr = girth(h)
-    ds = brute_force_densest_subgraph(h, k)
-    if k < gr:
-        return ReductionCheck(k, gr, "below_girth", ds.value, None, ds.value == k - 1,
-                              construction)
-    inst = _hub_expansion(h, construction)
-    eb = brute_force_edge_blocking(inst.graph, k, inst.seeds, inst.arcs)
-    return ReductionCheck(k, gr, "expansion", ds.value, eb.value, ds.value == eb.value - k,
-                          construction)
+    above = [k for k in ks if k >= gr]
+    opt_eb = {}
+    if above:
+        inst = _hub_expansion(h, construction)
+        if len(above) == 1:
+            # a lone k takes the public one-k call, the enumeration that
+            # perfbench's hardness.blocking probe times and counts
+            optima = [brute_force_edge_blocking(inst.graph, above[0], inst.seeds, inst.arcs)]
+        else:
+            optima = _blocking_optima(inst.graph, above, inst.seeds, inst.arcs)
+        opt_eb = {k: res.value for k, res in zip(above, optima)}
+    checks = []
+    for k in ks:
+        ds = brute_force_densest_subgraph(h, k).value
+        if k < gr:
+            checks.append(ReductionCheck(k, gr, "below_girth", ds, None, ds == k - 1, construction))
+        else:
+            eb = opt_eb[k]
+            checks.append(ReductionCheck(k, gr, "expansion", ds, eb, ds == eb - k, construction))
+    return checks
 
 
 def sweep_small_instances(max_n: int, construction: str = "undirected") -> list[ReductionCheck]:
     """verify_reduction over every connected graph up to isomorphism with
     n <= max_n and every k in 1..n.
 
-    The k = n boundary is included because it is where the expansion-mode
-    identity holds on either construction (blocking every hub edge
-    isolates the hub)."""
+    The work is done per graph: one girth, at most one hub expansion, and
+    one blocking enumeration for every k at or above the girth.
+    Connectivity is not checked again, since ``connected_graphs_upto_iso``
+    yields connected graphs only.  The k = n boundary is included because
+    it is where the expansion-mode identity holds on either construction
+    (blocking every hub edge isolates the hub)."""
     _check_construction(construction)
     if max_n not in SWEEP_SIZES:
         raise ValueError(f"max_n must lie in 2..{MAX_ENUM_NODES}, got {max_n}")
     checks = []
     for n in range(2, max_n + 1):
         for h in connected_graphs_upto_iso(n):
-            for k in range(1, n + 1):
-                checks.append(verify_reduction(h, k, construction))
+            checks.extend(_graph_checks(h, range(1, n + 1), construction))
     return checks

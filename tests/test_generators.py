@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from edgeblock.generators import (
+    MAX_ENUM_NODES,
     connected_graphs_upto_iso,
     gnm_random_graph,
     planted_partition,
@@ -46,13 +47,17 @@ def test_isomorphism_class_counts():
 
 
 def test_enumerated_graphs_are_connected_and_distinct():
-    graphs = connected_graphs_upto_iso(5)
-    sigs = set()
-    for g in graphs:
-        assert graph_stats(g).connected
-        sigs.add((g.n, g.m, tuple(sorted(g.degrees.tolist()))))
-    # degree sequences alone distinguish most classes; at least no huge collapse
-    assert len(sigs) >= 15
+    # the hardness sweep relies on every generated graph being connected
+    # and does not check it again
+    for n in range(1, MAX_ENUM_NODES + 1):
+        graphs = connected_graphs_upto_iso(n)
+        sigs = set()
+        for g in graphs:
+            assert g.n == n and graph_stats(g).connected, (n, g.m)
+            sigs.add((g.n, g.m, tuple(sorted(g.degrees.tolist()))))
+        if n == 5:
+            # degree sequences alone distinguish most classes; at least no huge collapse
+            assert len(sigs) >= 15
 
 
 def test_enumeration_guard():

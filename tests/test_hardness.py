@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from edgeblock.hardness import (
     _BLOCKING_CHUNK,
     CONSTRUCTIONS,
     _binomial_table,
-    _lex_subsets,
+    _lex_columns,
     brute_force_densest_subgraph,
     brute_force_edge_blocking,
     expand_to_blocking_instance,
@@ -140,6 +141,11 @@ def test_blocking_matches_loop_reference():
     assert largest > 2 * _BLOCKING_CHUNK    # K5 expansion, k = 4: 12,650 subsets
 
 
+def _lex_rows(table, m, k, start, s):
+    """The columns of ``_lex_columns`` as int64[s, k] rows."""
+    return np.array(list(_lex_columns(table, m, k, start, s)), dtype=np.int64).reshape(k, s).T
+
+
 def test_lex_subsets_match_combinations():
     # chunks of 7 rows, so seams fall mid-list, against itertools' own order
     for m in range(13):
@@ -148,7 +154,7 @@ def test_lex_subsets_match_combinations():
             table = _binomial_table(m, k)
             assert table.shape == (k + 1, m - k + 1)
             assert table.max() <= total
-            rows = np.concatenate([_lex_subsets(table, m, k, done, min(7, total - done))
+            rows = np.concatenate([_lex_rows(table, m, k, done, min(7, total - done))
                                    for done in range(0, total, 7)])
             want = np.array(list(itertools.combinations(range(m), k)), dtype=np.int64)
             assert np.array_equal(rows, want.reshape(total, k)), (m, k)
@@ -159,6 +165,40 @@ def test_blocking_matches_loop_reference_across_chunk_seams(monkeypatch):
     for g, k, seeds, arcs in _blocking_cases():
         res = brute_force_edge_blocking(g, k, seeds, arcs)
         assert (res.value, res.witness) == edge_blocking_reference(g, k, seeds, arcs), (g.m, k)
+
+
+def test_blocking_optima_share_chunks_across_k(monkeypatch):
+    # segments of several k share each 7-mask chunk; every k keeps its own
+    # first lexicographic maximizer, and the results follow the order of ks
+    # (descending here, where the sweep passes them ascending)
+    monkeypatch.setattr(hardness_mod, "_BLOCKING_CHUNK", 7)
+    groups = {}
+    for g, k, seeds, arcs in _blocking_cases():
+        groups.setdefault(id(g), (g, seeds, arcs, []))[3].insert(0, k)
+    mixed = 0
+    for g, seeds, arcs, ks in groups.values():
+        got = hardness_mod._blocking_optima(g, ks, seeds, arcs)
+        want = [edge_blocking_reference(g, k, seeds, arcs) for k in ks]
+        assert [(r.value, r.witness) for r in got] == want, (g.m, ks)
+        mixed += sum(len({k for k, _, _ in chunk}) > 1
+                     for chunk in hardness_mod._segment_chunks(g.m, ks))
+    assert mixed > len(groups)
+
+
+def test_blocking_memory_stays_near_live_block():
+    # 19,900 subsets of 198 edges: the old int64[k, s] subsets block alone
+    # took 8k bytes per mask; writing columns straight into `live` keeps
+    # the peak near m bytes per mask plus O(chunk) int64 temporaries
+    path = from_edge_arrays(201, np.arange(200), np.arange(1, 201))
+    brute_force_edge_blocking(path, 1, [0])
+    tracemalloc.start()
+    try:
+        res = brute_force_edge_blocking(path, 198, [0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.value, res.witness) == (200, tuple(range(198)))
+    assert peak < 8 * 198 * _BLOCKING_CHUNK, peak
 
 
 def test_blocking_near_full_budget_on_many_edges():
@@ -314,29 +354,56 @@ def test_verify_requires_connected_source():
 
 
 def test_one_connectivity_check_per_verify(monkeypatch):
-    # the expansion-mode checks reuse verify_reduction's own connectivity
-    # check; expand_to_blocking_instance still checks when called directly
-    calls = []
-    real = hardness_mod.is_connected
+    # verify_reduction checks connectivity once and hands its graph to the
+    # per-graph helper, which checks none, so the sweep over generated
+    # (connected) graphs checks none; expand_to_blocking_instance still
+    # checks when called directly
+    calls, helper_ks = [], []
+    real, real_helper = hardness_mod.is_connected, hardness_mod._graph_checks
     monkeypatch.setattr(hardness_mod, "is_connected", lambda h: calls.append(h) or real(h))
+    monkeypatch.setattr(hardness_mod, "_graph_checks",
+                        lambda h, ks, c: helper_ks.append(list(ks)) or real_helper(h, ks, c))
     checks = sweep_small_instances(4)
     assert sum(c.mode == "expansion" for c in checks) > 0
-    assert len(calls) == len(checks) == 32
+    assert len(checks) == 32 and calls == []
+    assert len(helper_ks) == 9          # one helper call per graph, all its k at once
+    for k in (1, 3, 4):
+        verify_reduction(K4, k)
+    assert len(calls) == 3 and helper_ks[9:] == [[1], [3], [4]]
     with pytest.raises(ValueError, match="connected"):
         expand_to_blocking_instance(from_edge_arrays(4, [0], [1]))
-    assert len(calls) == 33
+    assert len(calls) == 4
 
 
 def test_sweep_size_rejected_before_any_check(monkeypatch):
     calls = []
-    real = hardness_mod.verify_reduction
-    monkeypatch.setattr(hardness_mod, "verify_reduction",
-                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    real = hardness_mod._graph_checks
+    monkeypatch.setattr(hardness_mod, "_graph_checks", lambda *a: calls.append(a) or real(*a))
     for max_n in (7, 1, 0):
         with pytest.raises(ValueError):
             sweep_small_instances(max_n)
     assert calls == []
-    assert len(sweep_small_instances(2)) == len(calls) == 2
+    assert len(sweep_small_instances(2)) == 2 and len(calls) == 1
+
+
+def test_sweep_does_each_graphs_work_once(monkeypatch):
+    # n <= 4 gives 9 graphs, 5 of them with a cycle: one girth per graph,
+    # and one expansion and one blocking enumeration per cyclic graph
+    counted = {"girth": [], "_hub_expansion": [], "_blocking_optima": []}
+    for name, seen in counted.items():
+        real = getattr(hardness_mod, name)
+        monkeypatch.setattr(hardness_mod, name,
+                            lambda *a, _real=real, _seen=seen: _seen.append(a) or _real(*a))
+    sweep_small_instances(4)
+    assert [len(seen) for seen in counted.values()] == [9, 5, 5]
+    assert counted["_blocking_optima"][-1][1] == [3, 4]     # K4: girth 3, k in 3..4
+
+
+def test_sweep_matches_one_verify_per_k():
+    for construction in CONSTRUCTIONS:
+        want = [verify_reduction(h, k, construction)
+                for n in range(2, 6) for h in connected_graphs_upto_iso(n) for k in range(1, n + 1)]
+        assert sweep_small_instances(5, construction) == want, construction
 
 
 def test_sweep_small_instances_runs():
