@@ -170,74 +170,6 @@ def _lex_columns(table: np.ndarray, m: int, k: int, start: int, s: int):
         yield np.subtract(m - 1, n_rest)
 
 
-def _segment_chunks(m: int, ks):
-    """The subsets of every k in ``ks`` as chunks of at most
-    ``_BLOCKING_CHUNK`` masks; a chunk is a list of segments ``(k, first
-    rank, count)`` laid back to back, and a k's segments come in rank order."""
-    segments, filled = [], 0
-    for k in ks:
-        total, done = math.comb(m, k), 0
-        while done < total:
-            count = min(_BLOCKING_CHUNK - filled, total - done)
-            segments.append((k, done, count))
-            filled += count
-            done += count
-            if filled == _BLOCKING_CHUNK:
-                yield segments
-                segments, filled = [], 0
-    if segments:
-        yield segments
-
-
-def _blocking_optima(g: Graph, ks, seeds, arcs) -> list[BruteForceResult]:
-    """:func:`brute_force_edge_blocking` for every k in ``ks``, in order,
-    from one enumeration.
-
-    Each k contributes its C(m, k) subsets as segments ``(k, first rank,
-    count)``, packed back to back into chunks of at most
-    ``_BLOCKING_CHUNK`` masks, so segments of different k share a chunk
-    and each chunk is one :func:`cascade.reach_counts` call.  A segment's
-    columns go straight into the flattened live-edge block, and only the
-    winning rank of each k is unranked again for its witness.
-    """
-    _require_unit_weights(g)
-    m = g.m
-    for k in ks:
-        if not 0 <= k <= m:
-            raise ValueError("k must satisfy 0 <= k <= m")
-        if math.comb(m, k) > _MAX_BLOCKING_SUBSETS:
-            raise ValueError(
-                f"C({m}, {k}) subsets exceed the enumeration guard of {_MAX_BLOCKING_SUBSETS}")
-    tables = {k: _binomial_table(m, k) for k in ks}
-    best = {k: (-1, 0) for k in ks}          # (white count, rank of the first maximizer)
-    for segments in _segment_chunks(m, ks):
-        s = sum(count for _, _, count in segments)
-        live = np.ones(m * s, dtype=bool)    # live[e * s + lane], bool[m, s] flattened
-        offset = 0
-        for k, first, count in segments:
-            lanes = np.arange(offset, offset + count, dtype=np.int64)
-            for col in _lex_columns(tables[k], m, k, first, count):
-                col *= s
-                col += lanes
-                live[col] = False
-            offset += count
-        white = g.n - reach_counts(g, live.reshape(m, s), seeds, arcs)
-        offset = 0
-        for k, first, count in segments:
-            seg = white[offset:offset + count]
-            j = int(np.argmax(seg))
-            # strict improvement only: each k keeps its first lexicographic maximizer
-            if seg[j] > best[k][0]:
-                best[k] = (int(seg[j]), first + j)
-            offset += count
-    results = []
-    for k in ks:
-        value, rank = best[k]
-        witness = tuple(int(col[0]) for col in _lex_columns(tables[k], m, k, rank, 1))
-        results.append(BruteForceResult(value, witness))
-    return results
-
-
 def brute_force_edge_blocking(g: Graph, k: int, seeds, arcs=None) -> BruteForceResult:
     """Max white (unreachable) node count over all k-edge removals.
 
@@ -251,14 +183,37 @@ def brute_force_edge_blocking(g: Graph, k: int, seeds, arcs=None) -> BruteForceR
     chunk costs one sweep per hop of the longest shortest path.  A chunk's
     subsets are built from their lexicographic ranks in k vectorised steps
     (:func:`_lex_columns`), with no Python work per subset, and each step's
-    column is written straight into the live-edge block.  Memory is about
+    column is written straight into the live-edge block; only the winning
+    rank is unranked again for the witness.  Memory is about
     m * ``_BLOCKING_CHUNK`` bytes, the live-edge block, plus O(chunk)
     int64 temporaries, whatever k and C(m, k) are.  Only a strict
     improvement replaces the best, so the witness is the first
-    lexicographic maximizer.  This is the one-k call of
-    :func:`_blocking_optima`.
+    lexicographic maximizer.
     """
-    return _blocking_optima(g, [k], seeds, arcs)[0]
+    _require_unit_weights(g)
+    m = g.m
+    if not 0 <= k <= m:
+        raise ValueError("k must satisfy 0 <= k <= m")
+    total = math.comb(m, k)
+    if total > _MAX_BLOCKING_SUBSETS:
+        raise ValueError(
+            f"C({m}, {k}) subsets exceed the enumeration guard of {_MAX_BLOCKING_SUBSETS}")
+    table = _binomial_table(m, k)
+    best, best_rank = -1, 0
+    for done in range(0, total, _BLOCKING_CHUNK):
+        s = min(_BLOCKING_CHUNK, total - done)
+        live = np.ones(m * s, dtype=bool)    # live[e * s + lane], bool[m, s] flattened
+        lanes = np.arange(s, dtype=np.int64)
+        for col in _lex_columns(table, m, k, done, s):
+            col *= s
+            col += lanes
+            live[col] = False
+        white = g.n - reach_counts(g, live.reshape(m, s), seeds, arcs)
+        j = int(np.argmax(white))
+        if white[j] > best:
+            best, best_rank = int(white[j]), done + j
+    witness = tuple(int(col[0]) for col in _lex_columns(table, m, k, best_rank, 1))
+    return BruteForceResult(best, witness)
 
 
 @dataclass(frozen=True)
@@ -292,27 +247,17 @@ def verify_reduction(h: Graph, k: int, construction: str = "undirected") -> Redu
 
 def _graph_checks(h: Graph, ks, construction: str) -> list[ReductionCheck]:
     """:func:`verify_reduction` of a connected graph h for every k in
-    ``ks``, with one girth, at most one hub expansion and one blocking
-    enumeration for all the k at or above the girth."""
+    ``ks``, with one girth and at most one hub expansion, shared by every
+    k at or above the girth."""
     gr = girth(h)
-    above = [k for k in ks if k >= gr]
-    opt_eb = {}
-    if above:
-        inst = _hub_expansion(h, construction)
-        if len(above) == 1:
-            # a lone k takes the public one-k call, the enumeration that
-            # perfbench's hardness.blocking probe times and counts
-            optima = [brute_force_edge_blocking(inst.graph, above[0], inst.seeds, inst.arcs)]
-        else:
-            optima = _blocking_optima(inst.graph, above, inst.seeds, inst.arcs)
-        opt_eb = {k: res.value for k, res in zip(above, optima)}
+    inst = _hub_expansion(h, construction) if any(k >= gr for k in ks) else None
     checks = []
     for k in ks:
         ds = brute_force_densest_subgraph(h, k).value
         if k < gr:
             checks.append(ReductionCheck(k, gr, "below_girth", ds, None, ds == k - 1, construction))
         else:
-            eb = opt_eb[k]
+            eb = brute_force_edge_blocking(inst.graph, k, inst.seeds, inst.arcs).value
             checks.append(ReductionCheck(k, gr, "expansion", ds, eb, ds == eb - k, construction))
     return checks
 
@@ -321,8 +266,8 @@ def sweep_small_instances(max_n: int, construction: str = "undirected") -> list[
     """verify_reduction over every connected graph up to isomorphism with
     n <= max_n and every k in 1..n.
 
-    The work is done per graph: one girth, at most one hub expansion, and
-    one blocking enumeration for every k at or above the girth.
+    The work is done per graph: one girth and at most one hub expansion,
+    shared by every k at or above the girth.
     Connectivity is not checked again, since ``connected_graphs_upto_iso``
     yields connected graphs only.  The k = n boundary is included because
     it is where the expansion-mode identity holds on either construction

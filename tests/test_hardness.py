@@ -167,24 +167,6 @@ def test_blocking_matches_loop_reference_across_chunk_seams(monkeypatch):
         assert (res.value, res.witness) == edge_blocking_reference(g, k, seeds, arcs), (g.m, k)
 
 
-def test_blocking_optima_share_chunks_across_k(monkeypatch):
-    # segments of several k share each 7-mask chunk; every k keeps its own
-    # first lexicographic maximizer, and the results follow the order of ks
-    # (descending here, where the sweep passes them ascending)
-    monkeypatch.setattr(hardness_mod, "_BLOCKING_CHUNK", 7)
-    groups = {}
-    for g, k, seeds, arcs in _blocking_cases():
-        groups.setdefault(id(g), (g, seeds, arcs, []))[3].insert(0, k)
-    mixed = 0
-    for g, seeds, arcs, ks in groups.values():
-        got = hardness_mod._blocking_optima(g, ks, seeds, arcs)
-        want = [edge_blocking_reference(g, k, seeds, arcs) for k in ks]
-        assert [(r.value, r.witness) for r in got] == want, (g.m, ks)
-        mixed += sum(len({k for k, _, _ in chunk}) > 1
-                     for chunk in hardness_mod._segment_chunks(g.m, ks))
-    assert mixed > len(groups)
-
-
 def test_blocking_memory_stays_near_live_block():
     # 19,900 subsets of 198 edges: the old int64[k, s] subsets block alone
     # took 8k bytes per mask; writing columns straight into `live` keeps
@@ -388,15 +370,20 @@ def test_sweep_size_rejected_before_any_check(monkeypatch):
 
 def test_sweep_does_each_graphs_work_once(monkeypatch):
     # n <= 4 gives 9 graphs, 5 of them with a cycle: one girth per graph,
-    # and one expansion and one blocking enumeration per cyclic graph
-    counted = {"girth": [], "_hub_expansion": [], "_blocking_optima": []}
+    # one expansion per cyclic graph, and every k at or above its girth
+    # enumerates on that one expansion
+    counted = {"girth": [], "_hub_expansion": [], "brute_force_edge_blocking": []}
     for name, seen in counted.items():
         real = getattr(hardness_mod, name)
         monkeypatch.setattr(hardness_mod, name,
                             lambda *a, _real=real, _seen=seen: _seen.append(a) or _real(*a))
-    sweep_small_instances(4)
-    assert [len(seen) for seen in counted.values()] == [9, 5, 5]
-    assert counted["_blocking_optima"][-1][1] == [3, 4]     # K4: girth 3, k in 3..4
+    checks = sweep_small_instances(4)
+    girths, expansions, blocking = counted.values()
+    assert (len(girths), len(expansions)) == (9, 5)
+    assert len(blocking) == sum(c.mode == "expansion" for c in checks)
+    assert len({id(a[0]) for a in blocking}) == 5
+    assert [a[1] for a in blocking[-2:]] == [3, 4]      # K4: girth 3, k in 3..4
+    assert blocking[-2][0] is blocking[-1][0]
 
 
 def test_sweep_matches_one_verify_per_k():
