@@ -13,14 +13,12 @@ __version__ = "0.1.0"
 NUMBA_ENABLED = False
 
 from .cascade import (
-    SeedSet,
     estimate_spread,
     estimate_spreads,
     sample_seed_set,
 )
 from .centrality import ConvergenceError, edge_betweenness, node_closeness, node_pagerank
 from .community import (
-    Partition,
     SweepParams,
     inter_community_edges,
     louvain_partition,

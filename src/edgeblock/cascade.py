@@ -30,7 +30,6 @@ suite's exact oracles compute it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,24 +41,9 @@ from .seeding import as_rng, rng_for
 _CHUNK_ELEMENTS = 1 << 20
 
 
-@dataclass(frozen=True)
-class SeedSet:
-    """Initially-red nodes, stored sorted and deduplicated."""
-
-    nodes: np.ndarray
-
-    @classmethod
-    def of(cls, nodes) -> "SeedSet":
-        """ValueError on non-integer node ids (bools included)."""
-        return cls(np.unique(integer_ids(nodes, "seed nodes")))
-
-    @property
-    def size(self) -> int:
-        return int(self.nodes.shape[0])
-
-
 def _seed_array(g: Graph, seeds) -> np.ndarray:
-    arr = (seeds if isinstance(seeds, SeedSet) else SeedSet.of(seeds)).nodes
+    """Sorted distinct int64 seed ids; ValueError on a non-integer id or one outside [0, n)."""
+    arr = np.unique(integer_ids(seeds, "seed nodes"))
     if arr.size and (arr[0] < 0 or arr[-1] >= g.n):
         raise ValueError("seed node out of range")
     return arr
@@ -174,11 +158,10 @@ def estimate_spreads(g: Graph, seeds, samples: int, master_seed: int, blocked_se
     return means, [math.sqrt(max(v, 0.0) / samples) for v in var]
 
 
-def sample_seed_set(g: Graph, fraction: float, rng) -> SeedSet:
-    """Uniform seed set of size max(1, round(fraction * n))."""
+def sample_seed_set(g: Graph, fraction: float, rng) -> np.ndarray:
+    """Uniform seed set of size max(1, round(fraction * n)): sorted int64 node ids."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must lie in (0, 1]")
     rng = as_rng(rng)
-    size = max(1, round(fraction * g.n))
-    size = min(size, g.n)
-    return SeedSet.of(rng.choice(g.n, size=size, replace=False))
+    size = min(max(1, round(fraction * g.n)), g.n)
+    return np.sort(rng.choice(g.n, size=size, replace=False))

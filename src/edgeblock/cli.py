@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cascade import SeedSet, estimate_spread, sample_seed_set
+from .cascade import estimate_spread, sample_seed_set
 from .community import SweepParams
 from .evaluation import (
     ExperimentConfig,
@@ -216,7 +216,7 @@ def _cmd_simulate(args) -> int:
         unknown = [str(t) for t in keys if t not in index]
         if unknown:
             raise UsageError(f"unknown seed node label(s): {', '.join(unknown)}")
-        seeds = SeedSet.of(index[t] for t in keys)
+        seeds = np.unique([index[t] for t in keys])
     else:
         seeds = sample_seed_set(g, args.seed_fraction, rng_for(args.seed, 0))
     mean, stderr = estimate_spread(g, seeds, args.samples, args.seed)

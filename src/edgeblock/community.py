@@ -25,26 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .seeding import DEFAULT_SEED, as_rng, rng_for
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Community id per node; ids are dense 0..c-1."""
-
-    labels: np.ndarray
-
-    def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
-        object.__setattr__(self, "labels", labels)
-        if labels.size:
-            c = int(labels.max()) + 1
-            if labels.min() < 0 or np.unique(labels).size != c:
-                raise ValueError("community ids must be dense 0..c-1")
-
-    @property
-    def n_communities(self) -> int:
-        return int(self.labels.max()) + 1 if self.labels.size else 0
+from .seeding import as_rng, rng_for
 
 
 def _level0(g: Graph):
@@ -107,9 +88,10 @@ def _local_moving(adj, node_k, order, gamma, two_m) -> list:
     return [ids.setdefault(c, len(ids)) for c in comm]
 
 
-def louvain_partition(g: Graph, resolution: float, rng, *, level0=None) -> Partition:
+def louvain_partition(g: Graph, resolution: float, rng, *, level0=None) -> np.ndarray:
     """Two-phase Louvain: greedy local moves, then graph aggregation,
-    repeated until the community count stops shrinking.
+    repeated until the community count stops shrinking.  Returns each
+    node's community as int64 labels, dense 0..c-1 by first occurrence.
 
     The node visit order at every level is a fresh shuffle from ``rng``,
     so distinct seeds explore distinct local optima while a fixed seed is
@@ -120,7 +102,7 @@ def louvain_partition(g: Graph, resolution: float, rng, *, level0=None) -> Parti
         raise ValueError("resolution must be finite and positive")
     rng = as_rng(rng)
     if g.m == 0:
-        return Partition(np.arange(g.n, dtype=np.int64))
+        return np.arange(g.n, dtype=np.int64)
 
     adj, node_k, two_m = level0 if level0 is not None else _level0(g)
     mapping = range(g.n)
@@ -134,14 +116,13 @@ def louvain_partition(g: Graph, resolution: float, rng, *, level0=None) -> Parti
         adj, node_k = _aggregate(adj, node_k, labels, nc)
     # level l + 1's nodes are numbered by first occurrence in node order, so
     # its first-occurrence ids keep mapping dense by first occurrence too
-    return Partition(np.array(mapping, dtype=np.int64))
+    return np.array(mapping, dtype=np.int64)
 
 
-def inter_community_edges(g: Graph, partition: Partition) -> np.ndarray:
+def inter_community_edges(g: Graph, labels: np.ndarray) -> np.ndarray:
     """Sorted ids of edges whose endpoints lie in different communities."""
-    labels = partition.labels
     if labels.shape[0] != g.n:
-        raise ValueError("partition size does not match node count")
+        raise ValueError("label count does not match node count")
     return np.flatnonzero(labels[g.eu] != labels[g.ev]).astype(np.int64)
 
 
@@ -152,7 +133,6 @@ class SweepParams:
     h1: int = 5                  # outer overflow repetitions before stopping
     h2: int = 5                  # Louvain retries per resolution
     budget: int = 0              # max edges to block
-    master_seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         if not 0.0 < self.resolution < math.inf:
@@ -165,7 +145,7 @@ class SweepParams:
             raise ValueError("budget must be nonnegative")
 
 
-def sweep_walk(g: Graph, params: SweepParams, ks) -> tuple:
+def sweep_walk(g: Graph, params: SweepParams, ks, master_seed: int) -> tuple:
     """One resolution walk for every budget in ``ks``: ``(trace, picks)``.
 
     Walks the resolution upward by ``factor``; at each step runs Louvain
@@ -188,7 +168,7 @@ def sweep_walk(g: Graph, params: SweepParams, ks) -> tuple:
     while counts and math.isfinite(r):
         outer = len(trace) // params.h2
         for inner in range(params.h2):
-            rng = rng_for(params.master_seed, outer, inner)
+            rng = rng_for(master_seed, outer, inner)
             cut = inter_community_edges(g, louvain_partition(g, r, rng, level0=level0))
             trace.append((r, cut.size))
             for k in counts:
@@ -202,15 +182,13 @@ def sweep_walk(g: Graph, params: SweepParams, ks) -> tuple:
     return trace, picks
 
 
-def resolution_sweep(g: Graph, params: SweepParams, walk=None) -> np.ndarray:
-    """Largest inter-community edge set within ``params.budget``.
-
-    The budget's pick from ``walk``, a :func:`sweep_walk` on the same graph
-    and parameters, or from a one-budget walk of its own when ``walk`` is
-    absent.  Sorted edge ids, at most the budget and possibly none; every
-    edge when the budget is m or more.
+def resolution_sweep(g: Graph, params: SweepParams, walk) -> np.ndarray:
+    """Largest inter-community edge set within ``params.budget``: the
+    budget's pick from ``walk``, a :func:`sweep_walk` on the same graph and
+    parameters.  Sorted edge ids, at most the budget and possibly none;
+    every edge when the budget is m or more.
     """
-    _, picks = sweep_walk(g, params, [params.budget]) if walk is None else walk
+    _, picks = walk
     if params.budget not in picks:
         raise ValueError(f"the walk does not answer budget {params.budget}")
     return picks[params.budget]

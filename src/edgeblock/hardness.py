@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import SeedSet, is_connected, reach_counts
+from .cascade import is_connected, reach_counts
 from .generators import MAX_ENUM_NODES, connected_graphs_upto_iso
 from .graph import Graph, from_edge_arrays, girth
 
@@ -55,7 +55,7 @@ class BlockingInstance:
     node_copies: np.ndarray     # one node per node of the source graph
     edge_nodes: np.ndarray      # one node per edge of the source graph
     hub: int
-    seeds: SeedSet
+    seeds: np.ndarray           # int64[1], the hub
     # int64[m, 2]: edge id e conducts only arcs[e, 0] -> arcs[e, 1] (the
     # directed construction); None when every edge conducts both ways
     arcs: np.ndarray | None = None
@@ -101,7 +101,7 @@ def _hub_expansion(h: Graph, construction: str) -> BlockingInstance:
         node_copies=np.arange(n, dtype=np.int64),
         edge_nodes=np.arange(n, n + m, dtype=np.int64),
         hub=hub,
-        seeds=SeedSet.of([hub]),
+        seeds=np.array([hub], dtype=np.int64),
         arcs=arcs,
     )
 

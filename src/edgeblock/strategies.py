@@ -58,30 +58,31 @@ def score_edges(g: Graph, strategy: str, rng=None) -> np.ndarray:
     return _SCORERS[strategy](g, rng)
 
 
-def top_k_edges(scores: np.ndarray, k: int) -> np.ndarray:
-    """Ids of the k highest-scoring edges, ties by ascending edge id."""
-    if k <= 0:
-        return np.zeros(0, dtype=np.int64)
-    m = scores.shape[0]
-    order = np.argsort(-scores, kind="stable")   # stable keeps id order on ties
-    return np.sort(order[: min(k, m)]).astype(np.int64)
+def rank_edges(scores: np.ndarray) -> np.ndarray:
+    """Edge ids by descending score, ties by ascending edge id."""
+    return np.argsort(-scores, kind="stable")   # stable keeps id order on ties
+
+
+def top_k_edges(order: np.ndarray, k: int) -> np.ndarray:
+    """Sorted ids of the first k edges of ``order``, a :func:`rank_edges`."""
+    return np.sort(order[:max(k, 0)]).astype(np.int64, copy=False)
 
 
 def check_sweep(sweep) -> None:
-    """Reject a sweep that sets budget or master_seed: :func:`blocked_sets` sets both."""
-    unset = community_mod.SweepParams()
-    if sweep is not None and (sweep.budget, sweep.master_seed) != (unset.budget, unset.master_seed):
-        raise ValueError("blocked_sets sets a sweep's budget and master_seed; leave them unset")
+    """Reject a sweep that sets a budget: :func:`blocked_sets` sets it."""
+    if sweep is not None and sweep.budget != community_mod.SweepParams().budget:
+        raise ValueError("blocked_sets sets a sweep's budget; leave it unset")
 
 
 def blocked_sets(g: Graph, strategy: str, ks, master_seed: int, sweep=None) -> list:
     """Blocked edge ids for each budget in ``ks``, seeding derived internally.
 
-    A score strategy scores once, on the stream (TAG_STRATEGY, code), and
-    takes the top k for each k.  The community strategy walks the resolution
-    sweep once for all k, seeded from (TAG_SWEEP,) with ``sweep``'s
-    parameters (defaults otherwise), and looks each k's pick up in that
-    walk: the same ids as a one-budget sweep on that seed.
+    A score strategy scores and ranks once, on the stream (TAG_STRATEGY,
+    code), and takes the top k for each k.  The community strategy walks
+    the resolution sweep once for all k, seeded from (TAG_SWEEP,) with
+    ``sweep``'s parameters (defaults otherwise), and looks each k's pick up
+    in that walk.  ValueError when a set is not strictly ascending edge ids
+    in [0, m) or holds more than k of them.
     """
     code = strategy_code(strategy)
     check_sweep(sweep)
@@ -89,11 +90,19 @@ def blocked_sets(g: Graph, strategy: str, ks, master_seed: int, sweep=None) -> l
         raise ValueError("k must be nonnegative")
     if strategy == "community":
         seed = int(seed_sequence(master_seed, TAG_SWEEP).generate_state(1)[0])
-        base = replace(sweep if sweep is not None else community_mod.SweepParams(), master_seed=seed)
-        walk = community_mod.sweep_walk(g, base, ks)
-        return [community_mod.resolution_sweep(g, replace(base, budget=k), walk) for k in ks]
-    scores = score_edges(g, strategy, rng=rng_for(master_seed, TAG_STRATEGY, code))
-    return [top_k_edges(scores, k) for k in ks]
+        base = sweep if sweep is not None else community_mod.SweepParams()
+        walk = community_mod.sweep_walk(g, base, ks, seed)
+        sets = [community_mod.resolution_sweep(g, replace(base, budget=k), walk) for k in ks]
+    else:
+        order = rank_edges(score_edges(g, strategy, rng=rng_for(master_seed, TAG_STRATEGY, code)))
+        sets = [top_k_edges(order, k) for k in ks]
+    for k, ids in zip(ks, sets):
+        # both paths return sorted ids: strictly ascending rules out a repeat
+        inside = ids.size == 0 or (ids[0] >= 0 and ids[-1] < g.m)
+        if ids.size > k or np.any(ids[1:] <= ids[:-1]) or not inside:
+            raise ValueError(f"{strategy} set for budget {k} is not at most {k} "
+                             f"ascending edge ids in [0, {g.m})")
+    return sets
 
 
 def blocked_edges(g: Graph, strategy: str, k: int, master_seed: int, sweep=None) -> np.ndarray:

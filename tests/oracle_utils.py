@@ -179,8 +179,6 @@ def set_partitions(items):
 
 def best_modularity_exhaustive(g, resolution=1.0):
     """Max modularity over every partition of the node set (tiny n only)."""
-    from edgeblock.community import Partition
-
     best_q = -math.inf
     best_labels = None
     for blocks in set_partitions(range(g.n)):
@@ -195,7 +193,7 @@ def best_modularity_exhaustive(g, resolution=1.0):
                 remap[labels[v]] = nxt
                 nxt += 1
         dense = np.array([remap[c] for c in labels], dtype=np.int64)
-        q = modularity(g, Partition(dense), resolution)
+        q = modularity(g, dense, resolution)
         if q > best_q:
             best_q = q
             best_labels = dense
@@ -356,16 +354,16 @@ def remove_edges(g, edge_ids):
     return from_edge_arrays(g.n, g.eu[keep], g.ev[keep], g.w[keep], labels=g.labels)
 
 
-def modularity(g, partition, resolution=1.0):
-    """Direct evaluation of the unweighted Q for the given partition."""
-    labels = partition.labels
+def modularity(g, labels, resolution=1.0):
+    """Direct evaluation of the unweighted Q for the partition given as
+    community labels, dense 0..c-1."""
     if labels.shape[0] != g.n:
-        raise ValueError("partition size does not match node count")
+        raise ValueError("label count does not match node count")
     if g.m == 0:
         return 0.0
     ew = np.ones(g.m)
     total = float(g.m)
-    c = partition.n_communities
+    c = int(labels.max()) + 1
     intra = np.zeros(c)
     same = labels[g.eu] == labels[g.ev]
     np.add.at(intra, labels[g.eu[same]], ew[same])
@@ -746,7 +744,7 @@ def louvain_partition_reference(g, resolution, rng):
     return _dense_relabel(mapping)
 
 
-def resolution_sweep_reference(g, params):
+def resolution_sweep_reference(g, params, master_seed):
     """One budget's resolution sweep, run by run: ``(trace, ids)``.
 
     ``h2`` fresh Louvain runs per step, each building its own level 0; the
@@ -764,7 +762,7 @@ def resolution_sweep_reference(g, params):
     overflows, outer, r = 0, 0, params.resolution
     while overflows <= params.h1 and math.isfinite(r):
         for inner in range(params.h2):
-            cut = inter_community_edges(g, louvain_partition(g, r, rng_for(params.master_seed, outer, inner)))
+            cut = inter_community_edges(g, louvain_partition(g, r, rng_for(master_seed, outer, inner)))
             trace.append((r, cut.size))
             if best.size < cut.size <= k:
                 best = cut

@@ -5,7 +5,6 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components, shor
 
 from edgeblock import cascade as cascade_mod
 from edgeblock.cascade import (
-    SeedSet,
     estimate_spread,
     estimate_spreads,
     is_connected,
@@ -244,11 +243,11 @@ def test_in_arcs_of_directed_k4_expansion():
 def test_spread_bounds():
     for seed in range(8):
         g = with_random_weights(gnm_random_graph(9, 14, seed + 40), seed)
-        seeds = SeedSet.of([0, 3])
+        seeds = [0, 3]
         mean, _ = estimate_spread(g, seeds, 300, master_seed=seed)
         exact = enumerate_spread_exact(g, seeds)
-        assert seeds.size <= mean <= g.n
-        assert seeds.size <= exact <= g.n
+        assert len(seeds) <= mean <= g.n
+        assert len(seeds) <= exact <= g.n
 
 
 def test_monotone_under_blocking():
@@ -265,7 +264,9 @@ def test_monotone_under_blocking():
 
 def test_sample_seed_set_sizes():
     big = from_edge_arrays(4039, [0], [1])
-    assert sample_seed_set(big, 0.001, 1).size == 4
+    drawn = sample_seed_set(big, 0.001, 1)
+    assert drawn.dtype == np.int64 and drawn.size == 4
+    assert np.all(np.diff(drawn) > 0) and 0 <= drawn[0] and drawn[-1] < big.n
     g1000 = from_edge_arrays(1000, [0], [1])
     assert sample_seed_set(g1000, 0.001, 1).size == 1
     g5 = from_edge_arrays(5, [0], [1])
@@ -283,20 +284,29 @@ def test_seed_validation():
     # non-integer node ids must not be truncated (0.9 would seed node 0,
     # True node 1)
     live = np.ones((P3.m, 1), dtype=bool)
-    for bad in ([0.9], [True], np.array([1.7, 2.2]), np.array([0.0])):
+    for bad in ([0.9], [True], np.array([1.7, 2.2]), np.array([0.0]), np.array([True, False])):
         with pytest.raises(ValueError):
-            SeedSet.of(bad)
+            estimate_spread(P3, bad, 4, 1)
         with pytest.raises(ValueError):
             estimate_spreads(P3, bad, 4, 1, [()])
         with pytest.raises(ValueError):
             reach_counts(P3, live, bad)
-    assert SeedSet.of([]).size == 0 and SeedSet.of(np.array([], dtype=float)).size == 0
+    for empty in ([], np.array([], dtype=float)):
+        assert estimate_spread(P3, empty, 4, 1) == (0.0, 0.0)
+        assert reach_counts(P3, live, empty).tolist() == [0]
+    for bad in ([3], [-1], [0, 3]):
+        with pytest.raises(ValueError):
+            reach_counts(P3, live, bad)
     # live must be 2-D with one row per edge: extra rows are not ignored
     for bad in (np.ones((5, 2), dtype=bool), np.ones((1, 2), dtype=bool),
                 np.ones(P3.m, dtype=bool), np.ones((P3.m, 1, 1), dtype=bool)):
         with pytest.raises(ValueError):
             reach_counts(P3, bad, [0])
-    assert SeedSet.of(np.array([2, 0, 2], dtype=np.uint8)).nodes.tolist() == [0, 2]
+    # repeated seeds collapse: node 0 and 2 once each, whatever the dtype
+    for repeated in (np.array([2, 0, 2], dtype=np.uint8), [0, 0, 2, 2, 2]):
+        assert estimate_spread(HALF_P3, repeated, 50, 3) == estimate_spread(HALF_P3, [0, 2], 50, 3)
+        assert reach_counts(P3, live, repeated).tolist() == reach_counts(P3, live, [2, 0]).tolist() == [3]
+        assert cascade_mod._seed_array(P3, repeated).tolist() == [0, 2]
 
 
 def _random_weighted_graph(rng):

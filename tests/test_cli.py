@@ -44,13 +44,17 @@ def test_simulate_seed_nodes_are_file_labels(tmp_path, monkeypatch, capsys):
     seen = []
 
     def fake_estimate(g, seeds, samples, seed):
-        seen.append([g.label_of(int(v)) for v in seeds.nodes])
+        seen.append([g.label_of(int(v)) for v in seeds])
         return 1.0, 0.0
 
     monkeypatch.setattr(cli, "estimate_spread", fake_estimate)
     assert dispatch(["simulate", "--graph", str(p), "--seed-nodes", "10"]) == 0
     assert dispatch(["simulate", "--graph", str(p), "--seed-nodes", "30,20"]) == 0
-    assert seen == [[10], [20, 30]]
+    # a repeated label seeds its node once
+    assert dispatch(["simulate", "--graph", str(p), "--seed-nodes", "30,20,30"]) == 0
+    assert seen == [[10], [20, 30], [20, 30]]
+    assert [ln.split()[0] for ln in capsys.readouterr().out.splitlines()] == [
+        "seeds=1", "seeds=2", "seeds=2"]
     assert dispatch(["simulate", "--graph", str(p), "--seed-nodes", "2"]) == 1
     assert "unknown seed node" in capsys.readouterr().err
 

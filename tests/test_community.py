@@ -6,7 +6,6 @@ import pytest
 
 from edgeblock import community
 from edgeblock.community import (
-    Partition,
     SweepParams,
     inter_community_edges,
     louvain_partition,
@@ -29,37 +28,34 @@ def _same_partition(a, b):
     return len({(int(x), int(y)) for x, y in zip(a, b)}) == len(set(map(int, a))) == len(set(map(int, b)))
 
 
-def test_partition_validation():
-    Partition(np.array([0, 1, 0]))
-    with pytest.raises(ValueError):
-        Partition(np.array([0, 2, 0]))  # not dense
-    with pytest.raises(ValueError):
-        Partition(np.array([-1, 0]))
+def _sweep(g, params, master_seed):
+    # the budget's pick from a walk of its own
+    return resolution_sweep(g, params, sweep_walk(g, params, [params.budget], master_seed))
 
 
 def test_modularity_single_community_zero():
     for g in (K4, TT):
-        q = modularity(g, Partition(np.zeros(g.n, dtype=np.int64)), 1.0)
+        q = modularity(g, np.zeros(g.n, dtype=np.int64), 1.0)
         assert q == pytest.approx(0.0, abs=1e-15)
 
 
 def test_modularity_singletons():
     g = K4
-    q = modularity(g, Partition(np.arange(4)), 1.0)
+    q = modularity(g, np.arange(4), 1.0)
     deg = g.degrees
     expect = -float(((deg / (2.0 * g.m)) ** 2).sum())
     assert q == pytest.approx(expect, abs=1e-15)
 
 
 def test_modularity_two_triangles():
-    q = modularity(TT, Partition(np.array([0, 0, 0, 1, 1, 1])), 1.0)
+    q = modularity(TT, np.array([0, 0, 0, 1, 1, 1]), 1.0)
     assert q == pytest.approx(5 / 14, abs=1e-12)
 
 
 def test_louvain_edgeless_graph():
     g = from_edge_arrays(5, [], [])
-    part = louvain_partition(g, 1.0, rng_for(1, 0))
-    assert part.labels.tolist() == [0, 1, 2, 3, 4]
+    labels = louvain_partition(g, 1.0, rng_for(1, 0))
+    assert labels.dtype == np.int64 and labels.tolist() == [0, 1, 2, 3, 4]
     with pytest.raises(ValueError):
         louvain_partition(g, 1.0, None)
 
@@ -68,58 +64,58 @@ def test_louvain_k4_single_community():
     # exhaustive check over all 15 partitions: the single block is optimal
     best_q, _ = best_modularity_exhaustive(K4, 1.0)
     for seed in range(5):
-        part = louvain_partition(K4, 1.0, rng_for(seed, 0))
-        assert part.n_communities == 1
-        assert modularity(K4, part, 1.0) == pytest.approx(best_q, abs=1e-12)
+        labels = louvain_partition(K4, 1.0, rng_for(seed, 0))
+        assert labels.tolist() == [0] * K4.n
+        assert modularity(K4, labels, 1.0) == pytest.approx(best_q, abs=1e-12)
 
 
 def test_louvain_recovers_triangles():
     best_q, best_labels = best_modularity_exhaustive(TT, 1.0)
     assert _same_partition(best_labels, [0, 0, 0, 1, 1, 1])
     for seed in range(5):
-        part = louvain_partition(TT, 1.0, rng_for(seed, 1))
-        assert _same_partition(part.labels, [0, 0, 0, 1, 1, 1])
-        assert modularity(TT, part, 1.0) == pytest.approx(best_q, abs=1e-12)
+        labels = louvain_partition(TT, 1.0, rng_for(seed, 1))
+        assert _same_partition(labels, [0, 0, 0, 1, 1, 1])
+        assert modularity(TT, labels, 1.0) == pytest.approx(best_q, abs=1e-12)
 
 
 def test_louvain_improves_on_singletons():
     for seed in range(6):
         g = gnm_random_graph(16, 32, seed)
-        part = louvain_partition(g, 1.0, rng_for(seed, 2))
-        q0 = modularity(g, Partition(np.arange(g.n)), 1.0)
-        assert modularity(g, part, 1.0) >= q0 - 1e-12
+        labels = louvain_partition(g, 1.0, rng_for(seed, 2))
+        q0 = modularity(g, np.arange(g.n), 1.0)
+        assert modularity(g, labels, 1.0) >= q0 - 1e-12
 
 
 def test_louvain_deterministic_per_seed():
     g = planted_partition(3, 8, 0.7, 0.05, 4)
-    a = louvain_partition(g, 1.0, rng_for(9, 0)).labels
-    b = louvain_partition(g, 1.0, rng_for(9, 0)).labels
+    a = louvain_partition(g, 1.0, rng_for(9, 0))
+    b = louvain_partition(g, 1.0, rng_for(9, 0))
     assert np.array_equal(a, b)
 
 
 def test_louvain_high_resolution_singletons():
     g = gnm_random_graph(10, 20, 7)
-    part = louvain_partition(g, float(4 * g.m), rng_for(3, 0))
-    assert part.n_communities == g.n
+    labels = louvain_partition(g, float(4 * g.m), rng_for(3, 0))
+    assert labels.tolist() == list(range(g.n))
 
 
 def test_inter_community_edges_trivials():
-    assert inter_community_edges(TT, Partition(np.zeros(6, dtype=np.int64))).size == 0
-    assert inter_community_edges(TT, Partition(np.arange(6))).size == TT.m
-    bridge_only = inter_community_edges(TT, Partition(np.array([0, 0, 0, 1, 1, 1])))
+    assert inter_community_edges(TT, np.zeros(6, dtype=np.int64)).size == 0
+    assert inter_community_edges(TT, np.arange(6)).size == TT.m
+    bridge_only = inter_community_edges(TT, np.array([0, 0, 0, 1, 1, 1]))
     assert bridge_only.tolist() == [3]
     assert (TT.eu[3], TT.ev[3]) == (2, 3)
 
 
 def test_sweep_finds_bridge():
-    params = SweepParams(resolution=0.1, factor=1.05, h1=5, h2=5, budget=1, master_seed=21)
-    assert resolution_sweep(TT, params).tolist() == [3]
+    params = SweepParams(resolution=0.1, factor=1.05, h1=5, h2=5, budget=1)
+    assert _sweep(TT, params, 21).tolist() == [3]
 
 
 def test_sweep_guard_paths():
-    assert resolution_sweep(TT, SweepParams(budget=0, master_seed=1)).size == 0
-    assert resolution_sweep(TT, SweepParams(budget=TT.m, master_seed=1)).tolist() == list(range(TT.m))
-    assert resolution_sweep(TT, SweepParams(budget=99, master_seed=1)).size == TT.m
+    assert _sweep(TT, SweepParams(budget=0), 1).size == 0
+    assert _sweep(TT, SweepParams(budget=TT.m), 1).tolist() == list(range(TT.m))
+    assert _sweep(TT, SweepParams(budget=99), 1).size == TT.m
 
 
 def test_sweep_param_validation():
@@ -144,9 +140,8 @@ def test_sweep_contract_randomized():
         m = int(rng.integers(n - 1, min(n * (n - 1) // 2, 3 * n)))
         g = gnm_random_graph(n, m, int(rng.integers(0, 1 << 30)))
         k = int(rng.integers(0, g.m + 2))
-        params = SweepParams(resolution=0.05, factor=1.3, h1=2, h2=2,
-                             budget=k, master_seed=trial)
-        out = resolution_sweep(g, params)
+        params = SweepParams(resolution=0.05, factor=1.3, h1=2, h2=2, budget=k)
+        out = _sweep(g, params, trial)
         assert out.size <= k or k >= g.m
         assert np.all(out >= 0) and np.all(out < g.m)
         assert np.array_equal(np.unique(out), out)
@@ -154,9 +149,8 @@ def test_sweep_contract_randomized():
 
 def test_sweep_returns_max_within_budget():
     g = planted_partition(3, 6, 0.8, 0.1, 13)
-    params = SweepParams(resolution=0.05, factor=1.2, h1=3, h2=3, budget=g.m // 3,
-                         master_seed=5)
-    trace, picks = sweep_walk(g, params, [params.budget])
+    params = SweepParams(resolution=0.05, factor=1.2, h1=3, h2=3, budget=g.m // 3)
+    trace, picks = sweep_walk(g, params, [params.budget], 5)
     out = resolution_sweep(g, params, (trace, picks))
     sizes_ok = [s for _, s in trace if s <= params.budget]
     assert out.size == max(sizes_ok, default=0)
@@ -183,18 +177,18 @@ def test_shared_walk_matches_one_budget_sweeps():
     rng = np.random.default_rng(9)
     for trial in range(30):
         g = _acceptance09_graph(trial, rng)
-        base = SweepParams(resolution=0.05, factor=1.3, h1=2, h2=2, master_seed=trial)
+        base = SweepParams(resolution=0.05, factor=1.3, h1=2, h2=2)
         ks = sorted({0, g.m - 1, g.m, g.m + 3, *(int(k) for k in rng.integers(1, g.m, 3))})
-        trace, picks = sweep_walk(g, base, ks)
+        trace, picks = sweep_walk(g, base, ks, trial)
         assert len(trace) % base.h2 == 0 and sorted(picks) == ks
-        assert trace == sweep_walk(g, base, [max(k for k in ks if k < g.m)])[0]
+        assert trace == sweep_walk(g, base, [max(k for k in ks if k < g.m)], trial)[0]
         for k in ks:
             params = replace(base, budget=k)
-            own, own_picks = sweep_walk(g, base, [k])
+            own, own_picks = sweep_walk(g, base, [k], trial)
             assert own == trace[:len(own)] and (own == []) == (k >= g.m)
-            ref_trace, ref = resolution_sweep_reference(g, params)
+            ref_trace, ref = resolution_sweep_reference(g, params, trial)
             assert own == ref_trace
-            for shared in (picks[k], own_picks[k], resolution_sweep(g, params)):
+            for shared in (picks[k], own_picks[k], _sweep(g, params, trial)):
                 assert shared.dtype == np.int64
                 assert np.array_equal(shared, ref)
 
@@ -206,11 +200,11 @@ def test_shared_level0_walk_matches_fresh_runs():
     for trial in range(30):
         g = _acceptance09_graph(trial, rng)
         params = SweepParams(resolution=0.05, factor=1.3, h1=2, h2=2,
-                             budget=int(rng.integers(0, g.m)), master_seed=trial)
-        trace, _ = sweep_walk(g, params, [params.budget])
+                             budget=int(rng.integers(0, g.m)))
+        trace, _ = sweep_walk(g, params, [params.budget], trial)
         runs = [louvain_partition(g, r, rng_for(trial, i // 2, i % 2))
                 for i, (r, _) in enumerate(trace)]
-        fresh = [(r, inter_community_edges(g, part).size) for (r, _), part in zip(trace, runs)]
+        fresh = [(r, inter_community_edges(g, labels).size) for (r, _), labels in zip(trace, runs)]
         assert trace == fresh and len(trace) >= 2
 
 
@@ -219,9 +213,9 @@ def test_blocked_sets_walk_builds_level0_once(monkeypatch):
     real_level0, real_walk = community._level0, community.sweep_walk
     real_run = community.louvain_partition
 
-    def walk(g, params, ks):
+    def walk(g, params, ks, master_seed):
         before = len(builds)
-        trace, picks = real_walk(g, params, ks)
+        trace, picks = real_walk(g, params, ks, master_seed)
         walks.append((len(builds) - before, len(trace)))
         return trace, picks
 
@@ -244,33 +238,33 @@ def test_blocked_sets_walk_builds_level0_once(monkeypatch):
 def test_sweep_stops_at_non_finite_resolution():
     # 1e307 * 100 overflows to inf after one step; at 1e307 every node is
     # alone, so that step cuts all m > k edges and nothing fits
-    params = SweepParams(resolution=1e307, factor=100.0, h1=5, h2=3, budget=2, master_seed=4)
-    trace, picks = sweep_walk(TT, params, [params.budget])
+    params = SweepParams(resolution=1e307, factor=100.0, h1=5, h2=3, budget=2)
+    trace, picks = sweep_walk(TT, params, [params.budget], 4)
     assert trace == [(1e307, TT.m)] * 3
-    assert resolution_sweep(TT, params).size == 0
+    assert _sweep(TT, params, 4).size == 0
     assert resolution_sweep(TT, params, (trace, picks)).size == 0
 
 
 def test_sweep_rejects_a_walk_without_its_budget():
     g = planted_partition(3, 6, 0.8, 0.1, 13)
-    params = SweepParams(resolution=0.05, factor=1.2, h1=2, h2=2, budget=g.m // 3, master_seed=5)
-    walk = sweep_walk(g, params, [params.budget, g.m])
+    params = SweepParams(resolution=0.05, factor=1.2, h1=2, h2=2, budget=g.m // 3)
+    walk = sweep_walk(g, params, [params.budget, g.m], 5)
     assert resolution_sweep(g, params, walk).size <= params.budget
     for others in ([], [params.budget + 1], [g.m]):
         with pytest.raises(ValueError):
-            resolution_sweep(g, params, sweep_walk(g, params, others))
+            resolution_sweep(g, params, sweep_walk(g, params, others, 5))
 
 
 def test_sweep_deterministic():
     g = planted_partition(3, 6, 0.8, 0.1, 13)
-    params = SweepParams(budget=5, master_seed=33)
-    a = resolution_sweep(g, params)
-    b = resolution_sweep(g, params)
+    params = SweepParams(budget=5)
+    a = _sweep(g, params, 33)
+    b = _sweep(g, params, 33)
     assert np.array_equal(a, b)
 
 
 def test_weighted_modularity_switch():
     g = TT.with_weights(np.array([0.5, 0.5, 0.5, 0.1, 0.5, 0.5, 0.5]))
-    part = Partition(np.array([0, 0, 0, 1, 1, 1]))
-    q_struct = modularity(g, part, 1.0)
+    labels = np.array([0, 0, 0, 1, 1, 1])
+    q_struct = modularity(g, labels, 1.0)
     assert q_struct == pytest.approx(5 / 14, abs=1e-12)

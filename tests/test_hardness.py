@@ -53,7 +53,7 @@ def test_expansion_structure_invariants():
         assert deg[inst.hub] == h.n
         hub_nbrs = set(g.nbrs[g.indptr[inst.hub]:g.indptr[inst.hub + 1]].tolist())
         assert hub_nbrs == set(map(int, inst.node_copies))
-        assert inst.seeds.nodes.tolist() == [inst.hub]
+        assert inst.seeds.dtype == np.int64 and inst.seeds.tolist() == [inst.hub]
 
 
 def test_expansion_requires_connected():
@@ -125,7 +125,7 @@ def _blocking_cases():
             for construction in CONSTRUCTIONS:
                 inst = expand_to_blocking_instance(h, construction)
                 for k in range(min(n, 4) + 1):
-                    yield inst.graph, k, inst.seeds.nodes, inst.arcs
+                    yield inst.graph, k, inst.seeds, inst.arcs
     for seed in range(5):
         g = gnm_random_graph(9, 14, seed)
         for k in (0, 1, 2, 3, g.m):

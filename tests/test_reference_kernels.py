@@ -44,7 +44,7 @@ def test_helpers_match_array_kernels(name):
     assert edge_betweenness(g, weighted=True).tobytes() == ref.tobytes()
 
     for i, r in enumerate((0.5, 1.0, 2.0)):
-        got = louvain_partition(g, r, rng_for(7, i)).labels
+        got = louvain_partition(g, r, rng_for(7, i))
         assert np.array_equal(got, louvain_partition_reference(g, r, rng_for(7, i)))
 
     if g.n <= 7:
@@ -59,5 +59,17 @@ def test_louvain_matches_array_reference_across_resolutions():
     for s in range(60):
         g = gnm_random_graph(8 + s % 22, 12 + 2 * (s % 20), s)
         for i, r in enumerate((0.05, 0.3, 1.0, 3.0)):
-            got = louvain_partition(g, r, rng_for(s, i)).labels
+            got = louvain_partition(g, r, rng_for(s, i))
             assert np.array_equal(got, louvain_partition_reference(g, r, rng_for(s, i)))
+
+
+def test_louvain_labels_dense_by_first_occurrence():
+    # labels 0..c-1, numbered in the order of each community's first node
+    for name, args in GRAPHS.items():
+        g = _graph(args)
+        for i, r in enumerate((0.01, 0.3, 1.0, 3.0, 40.0)):
+            labels = louvain_partition(g, r, rng_for(11, i))
+            assert labels.dtype == np.int64 and labels.shape == (g.n,), (name, r)
+            values, first = np.unique(labels, return_index=True)
+            assert np.array_equal(values, np.arange(values.size)), (name, r)
+            assert np.all(np.diff(first) > 0), (name, r)

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from edgeblock import community
+from edgeblock import community, strategies
 from edgeblock.community import SweepParams, resolution_sweep, sweep_walk
 from edgeblock.generators import gnm_random_graph, planted_partition, with_random_weights
 from edgeblock.graph import assign_jaccard_weights, from_edge_arrays, parse_edge_list
@@ -13,6 +13,7 @@ from edgeblock.strategies import (
     STRATEGIES,
     blocked_edges,
     blocked_sets,
+    rank_edges,
     score_edges,
     strategy_code,
     top_k_edges,
@@ -96,15 +97,15 @@ def test_top_k_scale_invariance():
     rng = np.random.default_rng(4)
     scores = rng.random(40)
     for k in (1, 5, 17, 40):
-        base = top_k_edges(scores, k)
-        assert np.array_equal(base, top_k_edges(scores * 3.7, k))
-        assert np.array_equal(base, top_k_edges(scores * 1e-9, k))
+        base = top_k_edges(rank_edges(scores), k)
+        assert np.array_equal(base, top_k_edges(rank_edges(scores * 3.7), k))
+        assert np.array_equal(base, top_k_edges(rank_edges(scores * 1e-9), k))
 
 
 def test_top_k_is_actually_top_k():
     rng = np.random.default_rng(9)
     scores = rng.random(30)
-    picked = top_k_edges(scores, 10)
+    picked = top_k_edges(rank_edges(scores), 10)
     thresh = np.sort(scores)[-10]
     assert np.all(scores[picked] >= thresh)
 
@@ -134,11 +135,12 @@ def test_blocked_edges_dispatch():
 
 def test_preset_sweep_budget_and_seed_rejected():
     g = planted_partition(3, 6, 0.8, 0.08, 6)
-    for preset in (SweepParams(budget=40), SweepParams(master_seed=123),
-                   SweepParams(budget=40, master_seed=123)):
-        for strategy in ("community", "deg"):
-            with pytest.raises(ValueError):
-                blocked_edges(g, strategy, 6, 10, sweep=preset)
+    for strategy in ("community", "deg"):
+        with pytest.raises(ValueError):
+            blocked_edges(g, strategy, 6, 10, sweep=SweepParams(budget=40))
+    # the walk's seed is an argument of sweep_walk, not a sweep field
+    with pytest.raises(TypeError):
+        SweepParams(master_seed=123)
     assert blocked_edges(g, "community", 6, 10, sweep=SweepParams(h1=2)).size <= 6
 
 
@@ -154,10 +156,11 @@ def test_blocked_sets_match_single_budget_calls():
             assert np.array_equal(ids, blocked_edges(g, strat, k, 10, sweep=sweep))
             if strat == "community":
                 seed = int(seed_sequence(10, TAG_SWEEP).generate_state(1)[0])
-                ref = resolution_sweep(g, replace(sweep, budget=k, master_seed=seed))
+                ref = resolution_sweep(g, replace(sweep, budget=k), sweep_walk(g, sweep, [k], seed))
             else:
                 rng = rng_for(10, TAG_STRATEGY, strategy_code(strat))
-                ref = top_k_edges(score_edges(g, strat, rng=rng), k)
+                order = np.argsort(-score_edges(g, strat, rng=rng), kind="stable")
+                ref = np.sort(order[:k])
             assert np.array_equal(ids, ref)
     for strat in ("deg", "community"):
         with pytest.raises(ValueError):
@@ -180,13 +183,13 @@ def test_community_walks_once_for_all_budgets(monkeypatch):
     monkeypatch.setattr(community, "louvain_partition", counted)
     sets = blocked_sets(g, "community", ks, 10, sweep=sweep)
     shared_runs = len(runs)
-    base = replace(sweep, master_seed=int(seed_sequence(10, TAG_SWEEP).generate_state(1)[0]))
-    trace, _ = sweep_walk(g, base, ks)
+    seed = int(seed_sequence(10, TAG_SWEEP).generate_state(1)[0])
+    trace, _ = sweep_walk(g, sweep, ks, seed)
     picked = sum(ids.size > 0 for ids in sets)
     assert 0 < picked < len(ks) and shared_runs == len(trace)
     runs.clear()
     for k in ks:
-        resolution_sweep(g, replace(base, budget=k))
+        resolution_sweep(g, replace(sweep, budget=k), sweep_walk(g, sweep, [k], seed))
     assert shared_runs < len(runs)
 
 
@@ -196,3 +199,41 @@ def test_deterministic_for_fixed_strategy_and_seed():
         a = blocked_edges(g, strat, 5, master_seed=3)
         b = blocked_edges(g, strat, 5, master_seed=3)
         assert np.array_equal(a, b)
+
+
+def test_score_strategies_rank_once_for_all_budgets(monkeypatch):
+    g = with_random_weights(gnm_random_graph(14, 30, 8), 8)
+    ranks = []
+    real = strategies.rank_edges
+    monkeypatch.setattr(strategies, "rank_edges", lambda scores: ranks.append(1) or real(scores))
+    for strat in SCORE_STRATEGIES:
+        sets = blocked_sets(g, strat, [0, 3, 7, 7, g.m + 1], 5)
+        assert [ids.size for ids in sets] == [0, 3, 7, 7, g.m]
+        assert set(sets[1]) <= set(sets[2]) and np.array_equal(sets[2], sets[3])
+    assert len(ranks) == len(SCORE_STRATEGIES)
+
+
+def _breaking(pick, k, m):
+    # a set that breaks one rule of budget k on a graph of m edges
+    return {"over_budget": np.arange(k + 1), "repeat": np.array([1, 1]),
+            "unsorted": np.array([2, 1]), "negative": np.array([-1, 0]),
+            "past_m": np.array([0, m])}[pick]
+
+
+@pytest.mark.parametrize("pick", ["over_budget", "repeat", "unsorted", "negative", "past_m"])
+def test_blocked_sets_reject_a_set_that_breaks_the_budget(monkeypatch, pick):
+    g = planted_partition(3, 6, 0.8, 0.08, 6)
+    sweep = SweepParams(resolution=0.05, factor=1.2, h1=2, h2=2)
+    assert [ids.size for ids in blocked_sets(g, "deg", [2, 3], 1)] == [2, 3]
+    monkeypatch.setattr(strategies, "top_k_edges", lambda order, k: _breaking(pick, k, g.m))
+    with pytest.raises(ValueError, match="budget 3"):
+        blocked_sets(g, "deg", [3], 1)
+    real_walk = community.sweep_walk
+
+    def walk(g, params, ks, master_seed):
+        trace, picks = real_walk(g, params, ks, master_seed)
+        return trace, {k: _breaking(pick, k, g.m) for k in picks}
+
+    monkeypatch.setattr(community, "sweep_walk", walk)
+    with pytest.raises(ValueError, match="budget 3"):
+        blocked_sets(g, "community", [3], 1, sweep)
