@@ -28,11 +28,9 @@ from .community import (
 from .evaluation import (
     ContainmentReport,
     ExperimentConfig,
-    containment_factor,
     export_csv,
     export_svg,
     run_experiment,
-    summarize_report,
 )
 from .graph import (
     Graph,
@@ -56,7 +54,6 @@ from .hardness import (
     verify_reduction,
 )
 from .strategies import (
-    SCORE_STRATEGIES,
     STRATEGIES,
     blocked_edges,
     blocked_sets,

@@ -136,23 +136,23 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("evaluate", help="containment-factor experiment grid")
     _add_graph_arg(p)
-    p.add_argument("--strategies", default="community,rndm",
+    p.add_argument("--strategies", default=",".join(ExperimentConfig.strategies),
                    help="comma list of strategy tokens (default: %(default)s)")
     p.add_argument("--budgets", default="1..20",
                    help="'LO..HI' integer percents or comma percents/fractions "
                         "(default: %(default)s)")
-    p.add_argument("--seed-sets", type=int, default=10,
+    p.add_argument("--seed-sets", type=int, default=ExperimentConfig.seed_set_reps,
                    help="seed-set repetitions (default: %(default)s)")
-    p.add_argument("--cascades", type=int, default=10,
+    p.add_argument("--cascades", type=int, default=ExperimentConfig.cascade_reps,
                    help="cascade replicates per seed set (default: %(default)s)")
-    p.add_argument("--seed-fraction", type=float, default=0.001,
+    p.add_argument("--seed-fraction", type=float, default=ExperimentConfig.seed_fraction,
                    help="seed-set size fraction (default: %(default)s)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="master seed (default: %(default)s)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--network", default=None,
                    help="network name for reports (default: graph file stem)")
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--threads", type=int, default=ExperimentConfig.threads,
                    help="worker threads, 0 = auto (default: %(default)s)")
     _add_sweep_args(p)
 
@@ -168,20 +168,20 @@ def build_parser() -> _Parser:
     return parser
 
 
+# SweepParams field -> what its flag sets
+_SWEEP_FLAGS = {"resolution": "starting resolution", "factor": "resolution growth factor",
+                "h1": "overflow repetitions", "h2": "retries per resolution"}
+
+
 def _add_sweep_args(p):
-    p.add_argument("--resolution", type=float, default=0.01,
-                   help="community sweep: starting resolution (default: %(default)s)")
-    p.add_argument("--factor", type=float, default=1.05,
-                   help="community sweep: resolution growth factor (default: %(default)s)")
-    p.add_argument("--h1", type=int, default=5,
-                   help="community sweep: overflow repetitions (default: %(default)s)")
-    p.add_argument("--h2", type=int, default=5,
-                   help="community sweep: retries per resolution (default: %(default)s)")
+    for name, what in _SWEEP_FLAGS.items():
+        default = getattr(SweepParams, name)
+        p.add_argument(f"--{name}", type=type(default), default=default,
+                       help=f"community sweep: {what} (default: %(default)s)")
 
 
 def _sweep_from_args(args) -> SweepParams:
-    return SweepParams(resolution=args.resolution, factor=args.factor,
-                       h1=args.h1, h2=args.h2)
+    return SweepParams(**{name: getattr(args, name) for name in _SWEEP_FLAGS})
 
 
 def _cmd_stats(args) -> int:

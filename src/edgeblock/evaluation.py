@@ -35,13 +35,6 @@ from .seeding import DEFAULT_SEED, TAG_CASCADE, TAG_SEED_SETS, replicate_seed_bi
 DEFAULT_BUDGET_FRACTIONS = tuple(i / 100.0 for i in range(1, 21))
 
 
-def containment_factor(phi_before: float, phi_after: float) -> float:
-    """Percentage of the baseline spread removed by blocking."""
-    if phi_before <= 0.0:
-        raise ValueError("containment factor undefined for phi_before <= 0")
-    return 100.0 * (phi_before - phi_after) / phi_before
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     network: str = "network"
@@ -78,31 +71,52 @@ class ExperimentConfig:
         strategies_mod.check_sweep(self.sweep)
 
 
-@dataclass(frozen=True)
-class DetailRow:
-    strategy: str
-    budget_fraction: float
-    seed_set_index: int
-    phi_before: float
-    phi_after: float
-    cf: float
+def _frozen(values) -> np.ndarray:
+    # C order: a row's mean and std then sum in the order of the 1-D call,
+    # which a column-major copy of a transposed view would not
+    a = np.array(values, dtype=np.float64, order="C")
+    a.flags.writeable = False
+    return a
 
 
-@dataclass(frozen=True)
-class AggregateRow:
-    strategy: str
-    budget_fraction: float
-    cf_mean: float
-    cf_std: float
-    n_seed_sets: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContainmentReport:
-    network: str
-    details: tuple
-    aggregates: tuple
+    """The grid's spread estimates, read-only float64 arrays:
+    ``phi_before[i]`` for seed set i and ``phi_after[c, i]`` for cell c of
+    :attr:`cells` on seed set i.  ValueError on any other shape or on a
+    phi_before <= 0, where the containment factor is undefined.
+    """
+
     config: ExperimentConfig
+    phi_before: np.ndarray
+    phi_after: np.ndarray
+
+    def __post_init__(self):
+        before, after = _frozen(self.phi_before), _frozen(self.phi_after)
+        if before.shape != (self.config.seed_set_reps,) or \
+                after.shape != (len(self.cells), before.size):
+            raise ValueError("phi_before must be shaped (seed sets,) and "
+                             "phi_after (cells, seed sets)")
+        if np.any(before <= 0.0):
+            raise ValueError("containment factor undefined for phi_before <= 0")
+        object.__setattr__(self, "phi_before", before)
+        object.__setattr__(self, "phi_after", after)
+
+    @property
+    def cells(self) -> tuple:
+        """(strategy, budget fraction) per row, strategies major, budgets minor."""
+        return tuple((s, f) for s in self.config.strategies for f in self.config.budget_fractions)
+
+    @property
+    def cf(self) -> np.ndarray:
+        """Containment factor per cell and seed set, in percent."""
+        return 100.0 * (self.phi_before - self.phi_after) / self.phi_before
+
+    def summary(self) -> tuple:
+        """Per-cell mean and sample std (n-1; zero for one seed set) of :attr:`cf`."""
+        cf = self.cf
+        std = cf.std(axis=1, ddof=1) if cf.shape[1] > 1 else np.zeros(cf.shape[0])
+        return cf.mean(axis=1), std
 
 
 def budget_to_edge_count(fraction: float, m: int) -> int:
@@ -118,8 +132,8 @@ def _blocked_sets(g: Graph, cfg: ExperimentConfig) -> list:
 
 
 def run_experiment(g: Graph, cfg: ExperimentConfig) -> ContainmentReport:
-    """Full grid: draw seed sets, estimate baseline and post-blocking spread,
-    emit per-cell detail rows and per-(strategy, budget) aggregates.
+    """Full grid: draw seed sets, estimate the baseline and post-blocking
+    spread of every cell on each.
 
     Each seed set takes one :func:`estimate_spreads` pass for its baseline
     and every cell.  Worker threads run over seed sets.
@@ -137,35 +151,10 @@ def run_experiment(g: Graph, cfg: ExperimentConfig) -> ContainmentReport:
     workers = cfg.threads or os.cpu_count() or 1
     if workers > 1 and reps > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            phi = list(pool.map(spreads, range(reps)))
+            phi = np.array(list(pool.map(spreads, range(reps))))
     else:
-        phi = list(map(spreads, range(reps)))
-
-    cells = [(strat, frac) for strat in cfg.strategies for frac in cfg.budget_fractions]
-    details = [DetailRow(strat, frac, i, phi[i][0], phi[i][c + 1],
-                         containment_factor(phi[i][0], phi[i][c + 1]))
-               for c, (strat, frac) in enumerate(cells) for i in range(reps)]
-    return ContainmentReport(
-        network=cfg.network,
-        details=tuple(details),
-        aggregates=tuple(summarize_report(details)),
-        config=cfg,
-    )
-
-
-def summarize_report(details) -> list:
-    """Per-(strategy, budget) mean and sample std (n-1; zero for one row)."""
-    if not details:
-        raise ValueError("report has no detail rows")
-    groups: dict = {}
-    for row in details:
-        groups.setdefault((row.strategy, row.budget_fraction), []).append(row.cf)
-    out = []
-    for (strat, frac), values in groups.items():
-        arr = np.asarray(values)
-        std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-        out.append(AggregateRow(strat, frac, float(arr.mean()), std, int(arr.size)))
-    return out
+        phi = np.array(list(map(spreads, range(reps))))
+    return ContainmentReport(cfg, phi[:, 0], phi[:, 1:].T)
 
 
 # ---------------------------------------------------------------------------
@@ -187,38 +176,32 @@ def _fmt_pct(fraction: float) -> str:
 
 def export_csv(report: ContainmentReport, details_path, aggregates_path) -> None:
     """Two CSV files with fixed schemas; floats use exact shortest repr."""
+    labels = [f"{report.config.network},{strat},{_fmt_pct(frac)}" for strat, frac in report.cells]
+    before = report.phi_before.tolist()
     with open(details_path, "w", newline="") as fh:
         fh.write(DETAIL_HEADER + "\n")
-        for r in report.details:
-            fh.write(
-                f"{report.network},{r.strategy},{_fmt_pct(r.budget_fraction)},"
-                f"{r.seed_set_index},{float(r.phi_before)!r},{float(r.phi_after)!r},"
-                f"{float(r.cf)!r}\n"
-            )
+        for label, after, cf in zip(labels, report.phi_after.tolist(), report.cf.tolist()):
+            for i in range(len(before)):
+                fh.write(f"{label},{i},{before[i]!r},{after[i]!r},{cf[i]!r}\n")
+    mean, std = (a.tolist() for a in report.summary())
     with open(aggregates_path, "w", newline="") as fh:
         fh.write(AGGREGATE_HEADER + "\n")
-        for r in report.aggregates:
-            fh.write(
-                f"{report.network},{r.strategy},{_fmt_pct(r.budget_fraction)},"
-                f"{float(r.cf_mean)!r},{float(r.cf_std)!r},{r.n_seed_sets}\n"
-            )
+        for label, m, sd in zip(labels, mean, std):
+            fh.write(f"{label},{m!r},{sd!r},{len(before)}\n")
 
 
 def export_svg(report: ContainmentReport, path) -> None:
     """Mean containment factor vs budget percentage, one polyline per strategy."""
     width, height = 860, 520
     x0, y0, x1, y1 = 70.0, 30.0, 820.0, 470.0
-    by_strategy: dict = {}
-    for r in report.aggregates:
-        by_strategy.setdefault(r.strategy, []).append((r.budget_fraction * 100.0, r.cf_mean))
-
-    xs = [p for pts in by_strategy.values() for p, _ in pts]
-    ys = [c for pts in by_strategy.values() for _, c in pts]
-    xmin, xmax = (min(xs), max(xs)) if xs else (0.0, 1.0)
+    cfg = report.config
+    xs = [f * 100.0 for f in cfg.budget_fractions]
+    means = report.summary()[0].reshape(len(cfg.strategies), len(xs)).tolist()
+    xmin, xmax = min(xs), max(xs)
     if xmax == xmin:
         xmax = xmin + 1.0
-    ymin = min(0.0, min(ys)) if ys else 0.0
-    ymax = max(ys) if ys else 1.0
+    ymin = min(0.0, min(map(min, means)))
+    ymax = max(map(max, means))
     if ymax <= ymin:
         ymax = ymin + 1.0
     span_y = (ymax - ymin) * 1.05
@@ -241,7 +224,7 @@ def export_svg(report: ContainmentReport, path) -> None:
         f'transform="rotate(-90 16 {(y0 + y1) / 2:.1f})" text-anchor="middle">'
         f'containment factor</text>',
         f'<text x="{(x0 + x1) / 2:.1f}" y="20" text-anchor="middle" font-size="15">'
-        f'{report.network}</text>',
+        f'{cfg.network}</text>',
     ]
     for t in range(6):
         yv = ymin + span_y * t / 5.0
@@ -254,10 +237,9 @@ def export_svg(report: ContainmentReport, path) -> None:
             f'<line x1="{sx(xv):.2f}" y1="{y1}" x2="{sx(xv):.2f}" y2="{y1 + 4}" stroke="black"/>'
             f'<text x="{sx(xv):.2f}" y="{y1 + 18}" text-anchor="middle" font-size="11">{xv:.1f}</text>'
         )
-    for idx, (strat, pts) in enumerate(by_strategy.items()):
+    for idx, (strat, ys) in enumerate(zip(cfg.strategies, means)):
         color = _SVG_PALETTE[idx % len(_SVG_PALETTE)]
-        pts = sorted(pts)
-        coords = " ".join(f"{sx(px):.2f},{sy(py):.2f}" for px, py in pts)
+        coords = " ".join(f"{sx(px):.2f},{sy(py):.2f}" for px, py in sorted(zip(xs, ys)))
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{coords}"/>'
         )

@@ -19,7 +19,6 @@ from .graph import Graph
 from .seeding import TAG_STRATEGY, TAG_SWEEP, as_rng, rng_for, seed_sequence
 
 STRATEGIES = ("rndm", "hwt", "deg", "wdeg", "clo", "wclo", "bet", "wbet", "pgrk", "community")
-SCORE_STRATEGIES = STRATEGIES[:-1]
 
 
 def strategy_code(name: str) -> int:

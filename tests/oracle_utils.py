@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from edgeblock.cascade import reach_counts
-from edgeblock.evaluation import AGGREGATE_HEADER, AggregateRow
+from edgeblock.evaluation import AGGREGATE_HEADER
 from edgeblock.graph import checked_edge_ids, from_edge_arrays
 
 
@@ -374,15 +374,15 @@ def modularity(g, labels, resolution=1.0):
 
 
 def load_aggregate_csv(path):
-    """Parse an aggregates CSV back into (network, AggregateRow) pairs."""
+    """Parse an aggregates CSV back into (network, strategy, budget fraction,
+    cf mean, cf std, seed sets) tuples."""
     rows = []
     with open(path) as fh:
         if fh.readline().strip() != AGGREGATE_HEADER:
             raise ValueError("unexpected aggregate CSV header")
         for line in fh:
             net, strat, pct, mean, std, nss = line.strip().split(",")
-            rows.append((net, AggregateRow(strat, float(pct) / 100.0,
-                                           float(mean), float(std), int(nss))))
+            rows.append((net, strat, float(pct) / 100.0, float(mean), float(std), int(nss)))
     return rows
 
 

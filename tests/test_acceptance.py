@@ -206,8 +206,7 @@ def test_acceptance_08_community_strategy_dominance():
         seed_set_reps=20, cascade_reps=100, master_seed=105,
     )
     rep = run_experiment(g, cfg)
-    samples = {s: np.array([r.cf for r in rep.details if r.strategy == s])
-               for s in cfg.strategies}
+    samples = dict(zip(cfg.strategies, rep.cf))    # one budget: a row per strategy
 
     def dominates(a, b):
         xa, xb = samples[a], samples[b]

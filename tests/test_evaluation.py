@@ -8,16 +8,12 @@ from edgeblock.community import SweepParams
 from edgeblock.evaluation import (
     AGGREGATE_HEADER,
     DETAIL_HEADER,
-    AggregateRow,
     ContainmentReport,
-    DetailRow,
     ExperimentConfig,
     budget_to_edge_count,
-    containment_factor,
     export_csv,
     export_svg,
     run_experiment,
-    summarize_report,
 )
 from edgeblock.generators import planted_partition, with_random_weights
 from edgeblock.graph import from_edge_arrays
@@ -28,13 +24,24 @@ from oracle_utils import load_aggregate_csv
 P3 = from_edge_arrays(3, [0, 1], [1, 2])
 
 
+def _fixed_report(before, after):
+    """Report of given spreads: one rndm row per budget of 1, 2, ... percent."""
+    cfg = ExperimentConfig(strategies=("rndm",), seed_set_reps=len(before),
+                           budget_fractions=tuple(c / 100.0 for c in range(1, len(after) + 1)))
+    return ContainmentReport(cfg, before, after)
+
+
 def test_containment_factor_values():
-    assert containment_factor(100.0, 40.0) == 60.0
-    assert containment_factor(7.5, 7.5) == 0.0
-    # unit path, block (1,2): reach drops from 3 to 2
-    assert containment_factor(3.0, 2.0) == pytest.approx(100.0 / 3.0)
+    # the third seed set: unit path, block (1,2): reach drops from 3 to 2
+    cf = _fixed_report([100.0, 7.5, 3.0], [[40.0, 7.5, 2.0]]).cf
+    assert cf.shape == (1, 3)
+    assert cf[0, 0] == 60.0
+    assert cf[0, 1] == 0.0
+    assert cf[0, 2] == pytest.approx(100.0 / 3.0)
     with pytest.raises(ValueError):
-        containment_factor(0.0, 0.0)
+        _fixed_report([0.0], [[0.0]])
+    with pytest.raises(ValueError):
+        _fixed_report([5.0, -1.0], [[1.0, 1.0]])
 
 
 def test_budget_to_edge_count():
@@ -82,10 +89,16 @@ def _small_report(**kw):
 
 def test_experiment_cardinality():
     _, rep = _small_report()
-    assert len(rep.details) == 2 * 3 * 2
-    assert len(rep.aggregates) == 2 * 3
-    for agg in rep.aggregates:
-        assert agg.n_seed_sets == 2
+    assert rep.cells == tuple((s, f) for s in ("hwt", "deg") for f in (0.05, 0.1, 0.2))
+    assert rep.phi_before.shape == (2,)
+    assert rep.phi_after.shape == rep.cf.shape == (2 * 3, 2)
+    assert [a.shape for a in rep.summary()] == [(2 * 3,)] * 2
+    for a in (rep.phi_before, rep.phi_after):
+        assert a.dtype == np.float64 and not a.flags.writeable
+    with pytest.raises(ValueError):    # a cell short
+        ContainmentReport(rep.config, rep.phi_before, rep.phi_after[1:])
+    with pytest.raises(ValueError):    # a seed set short
+        ContainmentReport(rep.config, rep.phi_before[1:], rep.phi_after[:, 1:])
 
 
 def test_zero_budget_gives_zero_cf():
@@ -95,28 +108,28 @@ def test_zero_budget_gives_zero_cf():
                            seed_fraction=0.05, seed_set_reps=3, cascade_reps=3,
                            master_seed=4)
     rep = run_experiment(g, cfg)
-    assert all(r.cf == 0.0 for r in rep.details)
+    assert np.all(rep.cf == 0.0)
 
 
 def test_aggregates_match_details():
     _, rep = _small_report(seed_set_reps=4)
-    for agg in rep.aggregates:
-        cells = [r.cf for r in rep.details
-                 if r.strategy == agg.strategy and r.budget_fraction == agg.budget_fraction]
-        assert agg.cf_mean == pytest.approx(np.mean(cells), rel=1e-12)
-        assert agg.cf_std == pytest.approx(np.std(cells, ddof=1), rel=1e-12)
+    mean, std = rep.summary()
+    for c, (strat, frac) in enumerate(rep.cells):
+        cells = [100.0 * (rep.phi_before[i] - rep.phi_after[c, i]) / rep.phi_before[i]
+                 for i in range(4)]
+        assert mean[c] == pytest.approx(np.mean(cells), rel=1e-12)
+        assert std[c] == pytest.approx(np.std(cells, ddof=1), rel=1e-12)
 
 
 def test_summarize_std_rules():
-    rows = [DetailRow("s", 0.1, 0, 10.0, 7.0, 30.0),
-            DetailRow("s", 0.1, 1, 10.0, 5.0, 50.0)]
-    (agg,) = summarize_report(rows)
-    assert agg.cf_mean == 40.0
-    assert agg.cf_std == pytest.approx(np.std([30.0, 50.0], ddof=1))
-    (single,) = summarize_report(rows[:1])
-    assert single.cf_std == 0.0
-    with pytest.raises(ValueError):
-        summarize_report([])
+    (mean,), (std,) = _fixed_report([10.0, 10.0], [[7.0, 5.0]]).summary()
+    assert mean == 40.0
+    assert std == pytest.approx(np.std([30.0, 50.0], ddof=1))
+    (single,), (single_std,) = _fixed_report([10.0], [[7.0]]).summary()
+    assert single == pytest.approx(30.0) and single_std == 0.0
+    with pytest.raises(ValueError):    # no seed set
+        ContainmentReport(ExperimentConfig(strategies=("rndm",), budget_fractions=(0.1,),
+                                           seed_set_reps=1), [], np.empty((1, 0)))
 
 
 def test_determinism_across_threads_and_runs():
@@ -126,8 +139,9 @@ def test_determinism_across_threads_and_runs():
     a = run_experiment(g, ExperimentConfig(**cfg, threads=1))
     b = run_experiment(g, ExperimentConfig(**cfg, threads=4))
     c = run_experiment(g, ExperimentConfig(**cfg, threads=1))
-    assert a.details == b.details == c.details
-    assert a.aggregates == b.aggregates
+    for r in (b, c):
+        assert r.phi_before.tobytes() == a.phi_before.tobytes()
+        assert r.phi_after.tobytes() == a.phi_after.tobytes()
 
 
 def test_common_random_numbers_keep_cf_in_range():
@@ -138,8 +152,8 @@ def test_common_random_numbers_keep_cf_in_range():
         rep = run_experiment(g, ExperimentConfig(
             network="crn", strategies=("rndm", "hwt"), budget_fractions=(0.05, 0.1),
             seed_set_reps=3, cascade_reps=4, master_seed=s))
-        assert all(0.0 <= r.cf <= 100.0 for r in rep.details)
-        assert all(r.phi_after <= r.phi_before for r in rep.details)
+        assert np.all((0.0 <= rep.cf) & (rep.cf <= 100.0))
+        assert np.all(rep.phi_after <= rep.phi_before)
 
 
 def test_grid_matches_per_cell_estimates(monkeypatch):
@@ -165,8 +179,8 @@ def test_grid_matches_per_cell_estimates(monkeypatch):
         for threads in (1, 3):
             rep = run_experiment(g, ExperimentConfig(**cfg, threads=threads))
             assert expected == {
-                (r.strategy, r.budget_fraction, r.seed_set_index): (r.phi_before, r.phi_after)
-                for r in rep.details}
+                (strat, frac, i): (rep.phi_before[i], rep.phi_after[c, i])
+                for c, (strat, frac) in enumerate(rep.cells) for i in range(3)}
         monkeypatch.undo()
 
 
@@ -194,22 +208,29 @@ def test_csv_export_and_roundtrip(tmp_path):
     alines = a.read_text().splitlines()
     assert dlines[0] == DETAIL_HEADER
     assert alines[0] == AGGREGATE_HEADER
-    assert len(dlines) == 1 + len(rep.details)
-    assert len(alines) == 1 + len(rep.aggregates)
-    loaded = load_aggregate_csv(a)
-    assert [row for _, row in loaded] == list(rep.aggregates)
+    assert len(dlines) == 1 + rep.phi_after.size
+    assert len(alines) == 1 + len(rep.cells)
+    mean, std = rep.summary()
+    assert load_aggregate_csv(a) == [("t", strat, frac, mean[c], std[c], 2)
+                                     for c, (strat, frac) in enumerate(rep.cells)]
 
 
-def test_csv_header_only_for_empty_report(tmp_path):
-    rep = ContainmentReport("empty", (), (), None)
-    export_csv(rep, tmp_path / "d.csv", tmp_path / "a.csv")
-    assert (tmp_path / "d.csv").read_text() == DETAIL_HEADER + "\n"
-    assert (tmp_path / "a.csv").read_text() == AGGREGATE_HEADER + "\n"
+def test_details_csv_rows_are_the_report_arrays(tmp_path):
+    _, rep = _small_report(seed_set_reps=3)
+    d = tmp_path / "d.csv"
+    export_csv(rep, d, tmp_path / "a.csv")
+    rows = [line.split(",") for line in d.read_text().splitlines()[1:]]
+    expected = [(c, i) for c in range(len(rep.cells)) for i in range(3)]
+    assert len(rows) == len(expected)
+    for (net, strat, pct, i, before, after, cf), (c, j) in zip(rows, expected):
+        assert (net, strat, float(pct) / 100.0, int(i)) == ("t",) + rep.cells[c] + (j,)
+        assert float(before) == rep.phi_before[j]
+        assert float(after) == rep.phi_after[c, j]
+        assert float(cf) == rep.cf[c, j]
 
 
 def test_svg_polyline_per_strategy(tmp_path):
-    aggs = tuple(AggregateRow("solo", i / 100.0, float(i), 0.0, 1) for i in range(1, 21))
-    rep = ContainmentReport("n", (), aggs, None)
+    rep = _fixed_report([100.0], [[100.0 - i] for i in range(1, 21)])
     path = tmp_path / "plot.svg"
     export_svg(rep, path)
     text = path.read_text()
@@ -224,5 +245,5 @@ def test_community_strategy_in_grid():
                            budget_fractions=(0.1,), seed_fraction=0.1,
                            seed_set_reps=2, cascade_reps=4, master_seed=6)
     rep = run_experiment(g, cfg)
-    assert len(rep.details) == 2
-    assert all(np.isfinite(r.cf) for r in rep.details)
+    assert rep.cf.shape == (1, 2)
+    assert np.all(np.isfinite(rep.cf))
