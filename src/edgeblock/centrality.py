@@ -59,8 +59,6 @@ def node_closeness(g: Graph, weighted: bool = False) -> np.ndarray:
     nodes and fully zero-distance neighborhoods alike.
     """
     n = g.n
-    if n <= 1:
-        return np.zeros(n)
     reach, sumd, _ = distance_stats(g, 1.0 - g.w[g.adj_eid] if weighted else None)
     out = np.zeros(n)
     pos = sumd > 0.0
@@ -74,8 +72,6 @@ def edge_betweenness(g: Graph, weighted: bool = False) -> np.ndarray:
     Each pair contributes 1 split evenly across its shortest paths.  With
     ``weighted`` the path length is the sum of 1 - weight per edge.
     """
-    if g.m == 0:
-        return np.zeros(0)
     if weighted:
         return _betweenness_weighted(g)
     return _betweenness_by_levels(g)
@@ -165,10 +161,3 @@ def _betweenness_by_levels(g: Graph) -> np.ndarray:
                 bc[e_lo:e_hi] += np.einsum("ij,ij->i", np.where(below, sigma[u], 0.0), coef[v])
     return bc * 0.5
 
-
-__all__ = [
-    "ConvergenceError",
-    "node_pagerank",
-    "node_closeness",
-    "edge_betweenness",
-]

@@ -36,7 +36,7 @@ from .graph import (
     write_edge_list,
 )
 from .hardness import CONSTRUCTIONS, SWEEP_SIZES, sweep_small_instances, verify_reduction
-from .seeding import DEFAULT_SEED, rng_for
+from .seeding import DEFAULT_SEED, TAG_SIMULATE_SEEDS, rng_for
 from .strategies import STRATEGIES, blocked_edges
 
 
@@ -218,7 +218,7 @@ def _cmd_simulate(args) -> int:
             raise UsageError(f"unknown seed node label(s): {', '.join(unknown)}")
         seeds = np.unique([index[t] for t in keys])
     else:
-        seeds = sample_seed_set(g, args.seed_fraction, rng_for(args.seed, 0))
+        seeds = sample_seed_set(g, args.seed_fraction, rng_for(args.seed, TAG_SIMULATE_SEEDS))
     mean, stderr = estimate_spread(g, seeds, args.samples, args.seed)
     print(f"seeds={seeds.size} samples={args.samples} phi_hat={mean!r} stderr={stderr!r}")
     return 0

@@ -122,7 +122,7 @@ def from_edge_arrays(n, eu, ev, w=None, labels=None) -> Graph:
         raise ValueError("endpoint arrays differ in length")
     w = np.ones(m) if w is None else _checked_weights(w, m)
     if m > 0:
-        if eu.min() < 0 or max(eu.max(), ev.max()) >= n:
+        if min(eu.min(), ev.min()) < 0 or max(eu.max(), ev.max()) >= n:
             raise ValueError("endpoint out of range")
         if np.any(eu == ev):
             raise ValueError("self-loops are not allowed")
@@ -160,11 +160,6 @@ def _open_text(source):
         return open(p, "r")
     if isinstance(source, bytes):
         return io.StringIO(source.decode())
-    if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode()
-        return io.StringIO(data)
     raise TypeError(f"unsupported edge-list source: {type(source)!r}")
 
 
@@ -182,34 +177,27 @@ def label_of_token(token: str):
 def parse_edge_list(source) -> Graph:
     """Parse a whitespace-separated edge list into a Graph.
 
-    Lines starting with '#' or '%' are comments, so no node token may start
-    with either.  Each data line holds two node tokens and optionally a
-    weight in (0, 1]; without a weight column all weights are 1.  Duplicate
-    (including reversed) edges and self-loops are dropped; their counts go
-    to one INFO line of this module's logger.
-    Node ids may be arbitrary integers or strings; dense internal ids
-    follow first appearance and original ids are kept as labels.
+    ``source`` is a path, a ``.gz`` path or ``bytes``.  Lines starting with
+    '#' or '%' are comments, so no node token may start with either.  Each
+    data line holds two node tokens and optionally a weight in (0, 1];
+    without a weight column all weights are 1.  Self-loops and repeated
+    (including reversed) pairs are dropped, the first listing of a pair
+    keeping its weight; their counts go to one INFO line of this module's
+    logger.  Node ids may be arbitrary integers or strings; dense internal
+    ids follow first appearance and original ids are kept as labels.
     """
-    self_loops = duplicate_edges = 0
-    node_index: dict[str, int] = {}
-    tokens_in_order: list[str] = []
-    seen_pairs: set[tuple[int, int]] = set()
-    us: list[int] = []
-    vs: list[int] = []
+    node_index: dict[str, int] = {}     # insertion order is id order
+    pairs: list[int] = []               # u0, v0, u1, v1, ... in line order
     ws: list[float] = []
     any_weight = False
 
     with _open_text(source) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
+            parts = raw.split()
+            if not parts or parts[0][0] in "#%":
                 continue
-            if line[0] in "#%":
-                continue
-            parts = line.split()
             if len(parts) not in (2, 3):
                 raise ParseError(f"expected 2 or 3 fields, got {len(parts)}", lineno)
-            ua, va = parts[0], parts[1]
             weight = 1.0
             if len(parts) == 3:
                 try:
@@ -219,38 +207,25 @@ def parse_edge_list(source) -> Graph:
                 if not 0.0 < weight <= 1.0:
                     raise ParseError(f"weight {weight} outside (0, 1]", lineno)
                 any_weight = True
-            for tok in (ua, va):
-                if tok not in node_index:
-                    if tok[0] in "#%":   # written first on a line, it would read as a comment
-                        raise ParseError(f"node {tok!r} starts with a comment character", lineno)
-                    node_index[tok] = len(tokens_in_order)
-                    tokens_in_order.append(tok)
-            iu, iv = node_index[ua], node_index[va]
-            if iu == iv:
-                self_loops += 1
-                continue
-            key = (iu, iv) if iu < iv else (iv, iu)
-            if key in seen_pairs:
-                duplicate_edges += 1
-                continue
-            seen_pairs.add(key)
-            us.append(iu)
-            vs.append(iv)
+            if parts[1][0] in "#%":   # written first on a line, it would read as a comment
+                raise ParseError(f"node {parts[1]!r} starts with a comment character", lineno)
+            pairs.append(node_index.setdefault(parts[0], len(node_index)))
+            pairs.append(node_index.setdefault(parts[1], len(node_index)))
             ws.append(weight)
 
-    if not tokens_in_order:
+    if not node_index:
         raise ParseError("empty edge list")
-    if self_loops or duplicate_edges:
-        log.info("dropped %d self-loop(s) and %d duplicate edge(s)", self_loops, duplicate_edges)
-
-    labels: tuple = tuple(label_of_token(t) for t in tokens_in_order)
-    return from_edge_arrays(
-        len(tokens_in_order),
-        np.array(us, dtype=np.int64),
-        np.array(vs, dtype=np.int64),
-        np.array(ws) if any_weight else None,
-        labels=labels,
-    )
+    n = len(node_index)
+    lo, hi = np.sort(np.array(pairs, dtype=np.int64).reshape(-1, 2), axis=1).T
+    keep = np.flatnonzero(lo != hi)
+    # np.unique's index is each key's first listing
+    keep = keep[np.unique(lo[keep] * n + hi[keep], return_index=True)[1]]
+    if keep.size < lo.size:
+        self_loops = int(np.count_nonzero(lo == hi))
+        log.info("dropped %d self-loop(s) and %d duplicate edge(s)",
+                 self_loops, lo.size - self_loops - keep.size)
+    return from_edge_arrays(n, lo[keep], hi[keep], np.array(ws)[keep] if any_weight else None,
+                            labels=[label_of_token(t) for t in node_index])
 
 
 def _format_weight(w: float) -> str:

@@ -51,11 +51,10 @@ SWEEP_SIZES = range(2, MAX_ENUM_NODES + 1)     # max_n of sweep_small_instances
 
 @dataclass(frozen=True)
 class BlockingInstance:
-    graph: Graph                # unit weights
-    node_copies: np.ndarray     # one node per node of the source graph
-    edge_nodes: np.ndarray      # one node per edge of the source graph
-    hub: int
-    seeds: np.ndarray           # int64[1], the hub
+    # unit weights; of a source graph with n nodes and m edges, nodes
+    # 0..n-1 copy its nodes, n..n+m-1 stand for its edges, n + m is the hub
+    graph: Graph
+    hub: int                    # the only seed
     # int64[m, 2]: edge id e conducts only arcs[e, 0] -> arcs[e, 1] (the
     # directed construction); None when every edge conducts both ways
     arcs: np.ndarray | None = None
@@ -96,14 +95,7 @@ def _hub_expansion(h: Graph, construction: str) -> BlockingInstance:
         to_hub = g.ev == hub
         arcs = np.stack([np.where(to_hub, g.ev, g.eu), np.where(to_hub, g.eu, g.ev)], axis=1)
         arcs.flags.writeable = False
-    return BlockingInstance(
-        graph=g,
-        node_copies=np.arange(n, dtype=np.int64),
-        edge_nodes=np.arange(n, n + m, dtype=np.int64),
-        hub=hub,
-        seeds=np.array([hub], dtype=np.int64),
-        arcs=arcs,
-    )
+    return BlockingInstance(graph=g, hub=hub, arcs=arcs)
 
 
 def brute_force_densest_subgraph(h: Graph, k: int) -> BruteForceResult:
@@ -257,7 +249,7 @@ def _graph_checks(h: Graph, ks, construction: str) -> list[ReductionCheck]:
         if k < gr:
             checks.append(ReductionCheck(k, gr, "below_girth", ds, None, ds == k - 1, construction))
         else:
-            eb = brute_force_edge_blocking(inst.graph, k, inst.seeds, inst.arcs).value
+            eb = brute_force_edge_blocking(inst.graph, k, [inst.hub], inst.arcs).value
             checks.append(ReductionCheck(k, gr, "expansion", ds, eb, ds == eb - k, construction))
     return checks
 

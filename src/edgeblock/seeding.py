@@ -10,12 +10,12 @@ import numpy as np
 DEFAULT_SEED = 42
 
 # stream tags: first coordinate after the master seed; the numbers are part
-# of every stream's key, so a retired tag (3) leaves a gap, never a renumbering
+# of every stream's key, so retired tags (3, 6) leave gaps, never a renumbering
+TAG_SIMULATE_SEEDS = 0
 TAG_SEED_SETS = 1
 TAG_CASCADE = 2
 TAG_STRATEGY = 4
 TAG_SWEEP = 5
-TAG_GENERATE = 6
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import community as community_mod
 from .centrality import edge_betweenness, node_closeness, node_pagerank
+from .community import SweepParams
 from .graph import Graph
 from .seeding import TAG_STRATEGY, TAG_SWEEP, as_rng, rng_for, seed_sequence
 
@@ -69,19 +70,19 @@ def top_k_edges(order: np.ndarray, k: int) -> np.ndarray:
 
 def check_sweep(sweep) -> None:
     """Reject a sweep that sets a budget: :func:`blocked_sets` sets it."""
-    if sweep is not None and sweep.budget != community_mod.SweepParams().budget:
+    if sweep.budget != SweepParams().budget:
         raise ValueError("blocked_sets sets a sweep's budget; leave it unset")
 
 
-def blocked_sets(g: Graph, strategy: str, ks, master_seed: int, sweep=None) -> list:
+def blocked_sets(g: Graph, strategy: str, ks, master_seed: int, sweep=SweepParams()) -> list:
     """Blocked edge ids for each budget in ``ks``, seeding derived internally.
 
     A score strategy scores and ranks once, on the stream (TAG_STRATEGY,
     code), and takes the top k for each k.  The community strategy walks
     the resolution sweep once for all k, seeded from (TAG_SWEEP,) with
-    ``sweep``'s parameters (defaults otherwise), and looks each k's pick up
-    in that walk.  ValueError when a set is not strictly ascending edge ids
-    in [0, m) or holds more than k of them.
+    ``sweep``'s parameters, and looks each k's pick up in that walk.
+    ValueError when a set is not strictly ascending edge ids in [0, m) or
+    holds more than k of them.
     """
     code = strategy_code(strategy)
     check_sweep(sweep)
@@ -89,9 +90,8 @@ def blocked_sets(g: Graph, strategy: str, ks, master_seed: int, sweep=None) -> l
         raise ValueError("k must be nonnegative")
     if strategy == "community":
         seed = int(seed_sequence(master_seed, TAG_SWEEP).generate_state(1)[0])
-        base = sweep if sweep is not None else community_mod.SweepParams()
-        walk = community_mod.sweep_walk(g, base, ks, seed)
-        sets = [community_mod.resolution_sweep(g, replace(base, budget=k), walk) for k in ks]
+        walk = community_mod.sweep_walk(g, sweep, ks, seed)
+        sets = [community_mod.resolution_sweep(g, replace(sweep, budget=k), walk) for k in ks]
     else:
         order = rank_edges(score_edges(g, strategy, rng=rng_for(master_seed, TAG_STRATEGY, code)))
         sets = [top_k_edges(order, k) for k in ks]
@@ -104,6 +104,7 @@ def blocked_sets(g: Graph, strategy: str, ks, master_seed: int, sweep=None) -> l
     return sets
 
 
-def blocked_edges(g: Graph, strategy: str, k: int, master_seed: int, sweep=None) -> np.ndarray:
+def blocked_edges(g: Graph, strategy: str, k: int, master_seed: int,
+                  sweep=SweepParams()) -> np.ndarray:
     """Blocked edge ids for one budget: see :func:`blocked_sets`."""
     return blocked_sets(g, strategy, [k], master_seed, sweep)[0]

@@ -108,6 +108,7 @@ def test_estimate_spreads_share_replicates_across_sets(monkeypatch):
         assert repr(estimate_spreads(g, [1, 2], 40, 77, sets)) == repr(whole)
         assert sorted(masks) == sorted(calls)
     assert estimate_spreads(g, [1, 2], 40, 77, []) == ([], [])
+    assert estimate_spreads(g, [1, 2], 1, 77, sets)[1] == [0.0] * len(sets)
     # ids outside [0, m), and non-integer ids, which must not be truncated
     for bad in ([g.m], [0.9], [True], np.array([1.0])):
         with pytest.raises(ValueError):
@@ -178,7 +179,7 @@ def test_exact_unit_weights():
     two = from_edge_arrays(5, [0, 1], [1, 2])  # component {0,1,2} and isolated 3, 4
     assert exact_spread_unit_weights(two, [0]) == 3
     inst = expand_to_blocking_instance(from_edge_arrays(3, [0, 0, 1], [1, 2, 2]))
-    assert exact_spread_unit_weights(inst.graph, inst.seeds) == 7
+    assert exact_spread_unit_weights(inst.graph, [inst.hub]) == 7
     with pytest.raises(ValueError):
         exact_spread_unit_weights(HALF_P3, [0])
 

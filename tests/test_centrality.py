@@ -38,6 +38,10 @@ def test_closeness_unit_weight_degenerate_distances():
 def test_closeness_isolated_node_zero():
     g = from_edge_arrays(3, [0], [1])
     assert node_closeness(g)[2] == 0.0
+    for n in (0, 1, 2, 5):
+        for weighted in (False, True):
+            clo = node_closeness(from_edge_arrays(n, [], []), weighted)
+            assert clo.dtype == np.float64 and clo.tolist() == [0.0] * n
 
 
 def test_closeness_matches_direct_formula():
@@ -90,6 +94,7 @@ def test_pagerank_symmetry_and_trivials():
     assert np.allclose(pr, 1 / 3)
     single = from_edge_arrays(1, [], [])
     assert node_pagerank(single).tolist() == [1.0]
+    assert node_pagerank(from_edge_arrays(0, [], [])).shape == (0,)
 
 
 def test_pagerank_star_and_dense_oracle():
@@ -119,6 +124,10 @@ def test_pagerank_iteration_cap(monkeypatch):
 def test_betweenness_trivials():
     assert edge_betweenness(P3).tolist() == [2.0, 2.0]
     assert edge_betweenness(K3).tolist() == [1.0, 1.0, 1.0]
+    for n in (0, 1, 2, 5):
+        for weighted in (False, True):
+            bet = edge_betweenness(from_edge_arrays(n, [], []), weighted)
+            assert bet.dtype == np.float64 and bet.shape == (0,)
 
 
 def test_betweenness_matches_bruteforce_unweighted():

@@ -3,7 +3,7 @@ import pytest
 
 from edgeblock import cli
 from edgeblock.cli import EXIT_CHECK_FAILED, dispatch
-from edgeblock.evaluation import AGGREGATE_HEADER, DETAIL_HEADER
+from edgeblock.evaluation import AGGREGATE_HEADER, DETAIL_HEADER, ExperimentConfig
 from edgeblock.generators import planted_partition
 from edgeblock.graph import parse_edge_list, write_edge_list
 
@@ -36,6 +36,23 @@ def test_weights_roundtrip(path3, tmp_path, capsys):
     assert dispatch(["weights", "--graph", path3, "--out", str(out)]) == 0
     g = parse_edge_list(out)
     assert np.allclose(g.w, [2 / 3, 2 / 3])
+
+
+def test_simulate_file_weights_match_jaccard_on_a_weights_output(tmp_path, capsys):
+    # compared on the written file: re-parsing it numbers nodes by first
+    # appearance in its own line order, so the source file draws other seeds
+    src, out = tmp_path / "pp.txt", tmp_path / "w.txt"
+    write_edge_list(planted_partition(4, 40, 0.3, 0.02, 1), src)
+    assert dispatch(["weights", "--graph", str(src), "--out", str(out)]) == 0
+    capsys.readouterr()
+    simulate = ["simulate", "--graph", str(out), "--samples", "300", "--seed", "3"]
+    assert dispatch(simulate + ["--weights", "file"]) == 0
+    assert dispatch(simulate) == 0
+    from_file, jaccard = capsys.readouterr().out.splitlines()
+    assert from_file == jaccard
+    assert from_file.startswith("seeds=1 samples=300 phi_hat=")   # max(1, round(0.001 * 160)) seeds
+    assert dispatch(simulate + ["--weights", "unit"]) == 0
+    assert capsys.readouterr().out.strip() != jaccard
 
 
 def test_simulate_seed_nodes_are_file_labels(tmp_path, monkeypatch, capsys):
@@ -133,6 +150,11 @@ def test_parse_budgets_trailing_percent_means_percent(text, fractions):
     assert cli._parse_budgets(text) == fractions
 
 
+def test_budgets_default_is_the_config_default():
+    args = cli.build_parser().parse_args(["evaluate", "--graph", "g.txt", "--out", "out"])
+    assert cli._parse_budgets(args.budgets) == ExperimentConfig.budget_fractions
+
+
 def test_hardness_verify(tmp_path, capsys):
     p = tmp_path / "k3.txt"
     p.write_text("0 1\n0 2\n1 2\n")
@@ -195,6 +217,9 @@ def test_usage_and_runtime_errors(tmp_path, capsys):
                 *(["--network", name] for name in ("a,b", "a\nb", "a\rb", "../x", "a<b",
                                                    "a>b", "a&b"))):
         assert dispatch(evaluate + bad) == 1, bad
+    # a zero budget is caught by the budget parser, before the config sees it
+    assert dispatch(evaluate + ["--budgets", "0,5"]) == 1
+    assert "bad budget '0'" in capsys.readouterr().err
     sweep = (["--resolution", "nan"], ["--resolution", "inf"], ["--resolution", "0"],
              ["--factor", "nan"], ["--factor", "inf"], ["--factor", "1"])
     for bad in sweep:

@@ -105,6 +105,9 @@ def test_inter_community_edges_trivials():
     bridge_only = inter_community_edges(TT, np.array([0, 0, 0, 1, 1, 1]))
     assert bridge_only.tolist() == [3]
     assert (TT.eu[3], TT.ev[3]) == (2, 3)
+    for labels in (np.zeros(5, dtype=np.int64), np.zeros(7, dtype=np.int64)):
+        with pytest.raises(ValueError, match="label count"):
+            inter_community_edges(TT, labels)
 
 
 def test_sweep_finds_bridge():

@@ -230,13 +230,14 @@ def test_details_csv_rows_are_the_report_arrays(tmp_path):
 
 
 def test_svg_polyline_per_strategy(tmp_path):
-    rep = _fixed_report([100.0], [[100.0 - i] for i in range(1, 21)])
-    path = tmp_path / "plot.svg"
-    export_svg(rep, path)
-    text = path.read_text()
-    assert text.count("<polyline") == 1
-    points = text.split('points="')[1].split('"')[0].split()
-    assert len(points) == 20
+    for budgets in (20, 1):     # one budget: a zero-width x range
+        rep = _fixed_report([100.0], [[100.0 - i] for i in range(1, budgets + 1)])
+        path = tmp_path / "plot.svg"
+        export_svg(rep, path)
+        text = path.read_text()
+        assert text.count("<polyline") == 1
+        points = text.split('points="')[1].split('"')[0].split()
+        assert len(points) == budgets
 
 
 def test_community_strategy_in_grid():

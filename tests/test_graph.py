@@ -36,6 +36,8 @@ P3 = from_edge_arrays(3, [0, 1], [1, 2])
 def test_parse_two_edge_path():
     g = parse_edge_list(b"0 1\n1 2")
     assert (g.n, g.m) == (3, 2)
+    g = parse_edge_list(b"\n0 1\n  \n\t\n1 2\n\n")     # blank lines are skipped
+    assert (g.n, g.m, g.labels) == (3, 2, (0, 1, 2))
 
 
 def test_parse_dedup_and_self_loop(caplog):
@@ -43,6 +45,9 @@ def test_parse_dedup_and_self_loop(caplog):
         g = parse_edge_list(b"0 1\n1 0\n0 0")
     assert (g.n, g.m) == (2, 1)
     assert "dropped 1 self-loop(s) and 1 duplicate edge(s)" in caplog.text
+    # a repeated pair keeps the weight of its first listing
+    g = parse_edge_list(b"2 1 0.5\n0 1 0.25\n1 0 0.75\n1 2 1.0\n")
+    assert g.w.tolist() == [0.5, 0.25]
 
 
 def test_parse_comments_and_string_labels():
@@ -73,6 +78,10 @@ def test_parse_errors():
         parse_edge_list(b"# only comments\n")
     with pytest.raises(ParseError, match="weight"):
         parse_edge_list(b"0 1 2.5\n")
+    with pytest.raises(ParseError, match="line 2: bad weight 'x'"):
+        parse_edge_list(b"0 1\n1 2 x\n")
+    with pytest.raises(TypeError):
+        parse_edge_list(io.StringIO("0 1\n"))      # a path, a .gz path or bytes only
     # a node written first on a line would re-parse as a comment
     for text, line in ((b"1 #a\n2 #a\n2 3\n", 1), (b"0 1\n1 %b 0.5\n", 2)):
         with pytest.raises(ParseError, match=f"line {line}: node .* comment"):
@@ -137,6 +146,10 @@ def test_constructor_rejects_bad_input():
         from_edge_arrays(3, [0, 1], [1, 0])    # duplicate (reversed)
     with pytest.raises(ValueError):
         from_edge_arrays(2, [0], [5])          # out of range
+    with pytest.raises(ValueError, match="endpoint out of range"):
+        from_edge_arrays(3, [1], [-1])         # negative v endpoint
+    with pytest.raises(ValueError, match="differ in length"):
+        from_edge_arrays(3, [0, 1], [1])
     with pytest.raises(ValueError):
         from_edge_arrays(2, [0], [1], [0.0])   # weight 0
     with pytest.raises(ValueError):

@@ -49,16 +49,18 @@ def test_expansion_structure_invariants():
         assert g.m == 2 * h.m + h.n
         assert np.all(g.w == 1.0)
         deg = g.degrees
-        assert np.all(deg[inst.edge_nodes] == 2)
+        assert np.all(deg[h.n:h.n + h.m] == 2)
         assert deg[inst.hub] == h.n
         hub_nbrs = set(g.nbrs[g.indptr[inst.hub]:g.indptr[inst.hub + 1]].tolist())
-        assert hub_nbrs == set(map(int, inst.node_copies))
-        assert inst.seeds.dtype == np.int64 and inst.seeds.tolist() == [inst.hub]
+        assert hub_nbrs == set(range(h.n))
+        assert inst.hub == h.n + h.m
 
 
 def test_expansion_requires_connected():
     with pytest.raises(ValueError):
         expand_to_blocking_instance(from_edge_arrays(4, [0], [1]))
+    with pytest.raises(ValueError, match="empty source graph"):
+        expand_to_blocking_instance(from_edge_arrays(0, [], []))
 
 
 def test_densest_trivials():
@@ -98,9 +100,9 @@ def test_blocking_zero_budget_connected():
 
 def test_blocking_k3_expansion_full_budget():
     inst = expand_to_blocking_instance(K3)
-    res = brute_force_edge_blocking(inst.graph, 3, inst.seeds)
+    res = brute_force_edge_blocking(inst.graph, 3, [inst.hub])
     assert res.value == 6
-    assert white_count_after_blocking(inst.graph, res.witness, inst.seeds) == 6
+    assert white_count_after_blocking(inst.graph, res.witness, [inst.hub]) == 6
 
 
 def test_blocking_witness_reproduces_value():
@@ -117,6 +119,9 @@ def test_blocking_guards():
     big = gnm_random_graph(40, 200, 2)
     with pytest.raises(ValueError):
         brute_force_edge_blocking(big, 10, [0])
+    for k in (-1, P3.m + 1):
+        with pytest.raises(ValueError, match="0 <= k <= m"):
+            brute_force_edge_blocking(P3, k, [0])
 
 
 def _blocking_cases():
@@ -125,7 +130,7 @@ def _blocking_cases():
             for construction in CONSTRUCTIONS:
                 inst = expand_to_blocking_instance(h, construction)
                 for k in range(min(n, 4) + 1):
-                    yield inst.graph, k, inst.seeds, inst.arcs
+                    yield inst.graph, k, [inst.hub], inst.arcs
     for seed in range(5):
         g = gnm_random_graph(9, 14, seed)
         for k in (0, 1, 2, 3, g.m):
@@ -230,11 +235,11 @@ def test_directed_identity_k4():
     # directed arcs hub -> copy -> incidence: blocking the hub arcs of three
     # copies leaves them and the three incidence nodes between them white
     inst = expand_to_blocking_instance(K4, "directed")
-    res = brute_force_edge_blocking(inst.graph, 3, inst.seeds, inst.arcs)
+    res = brute_force_edge_blocking(inst.graph, 3, [inst.hub], inst.arcs)
     assert res.value == 6 == 3 + 3
     g = inst.graph
     assert all(inst.hub in (int(g.eu[e]), int(g.ev[e])) for e in res.witness)
-    assert white_count_after_blocking(g, res.witness, inst.seeds, inst.arcs) == 6
+    assert white_count_after_blocking(g, res.witness, [inst.hub], inst.arcs) == 6
     c = verify_reduction(K4, 3, construction="directed")
     assert (c.mode, c.opt_ds, c.opt_eb, c.passed) == ("expansion", 3, 6, True)
     assert c.construction == "directed"
@@ -251,9 +256,10 @@ def test_directed_expansion_keeps_edge_ids():
         assert np.array_equal(np.maximum(tails, heads), und.graph.ev)
         # every arc leads away from the hub: into a copy, or into an incidence node
         hub_arc = tails == dirx.hub
-        assert np.all(np.isin(heads[hub_arc], dirx.node_copies))
-        assert np.all(np.isin(tails[~hub_arc], dirx.node_copies))
-        assert np.all(np.isin(heads[~hub_arc], dirx.edge_nodes))
+        copies, incidence = np.arange(h.n), np.arange(h.n, h.n + h.m)
+        assert np.all(np.isin(heads[hub_arc], copies))
+        assert np.all(np.isin(tails[~hub_arc], copies))
+        assert np.all(np.isin(heads[~hub_arc], incidence))
 
 
 def test_directed_witnesses_recount():
@@ -261,9 +267,9 @@ def test_directed_witnesses_recount():
         h = random_connected_graph(5, 3, seed + 20)
         inst = expand_to_blocking_instance(h, "directed")
         for k in (1, 2, 3):
-            res = brute_force_edge_blocking(inst.graph, k, inst.seeds, inst.arcs)
+            res = brute_force_edge_blocking(inst.graph, k, [inst.hub], inst.arcs)
             assert white_count_after_blocking(
-                inst.graph, res.witness, inst.seeds, inst.arcs) == res.value
+                inst.graph, res.witness, [inst.hub], inst.arcs) == res.value
 
 
 def test_undirected_default_unchanged_beside_directed():
@@ -276,14 +282,14 @@ def test_undirected_default_unchanged_beside_directed():
 def test_arcs_must_orient_own_edges():
     inst = expand_to_blocking_instance(K3, "directed")
     with pytest.raises(ValueError):
-        brute_force_edge_blocking(inst.graph, 1, inst.seeds, inst.arcs[:-1])
+        brute_force_edge_blocking(inst.graph, 1, [inst.hub], inst.arcs[:-1])
     bad = inst.arcs.copy()
     bad[0] = bad[1]
     with pytest.raises(ValueError):
-        brute_force_edge_blocking(inst.graph, 1, inst.seeds, bad)
+        brute_force_edge_blocking(inst.graph, 1, [inst.hub], bad)
     for bad in ([-1], [0.9], [True]):
         with pytest.raises(ValueError):
-            white_count_after_blocking(inst.graph, bad, inst.seeds, inst.arcs)
+            white_count_after_blocking(inst.graph, bad, [inst.hub], inst.arcs)
 
 
 def test_construction_validation():
@@ -318,8 +324,8 @@ def test_relabeling_leaves_optima_unchanged():
             assert (brute_force_densest_subgraph(h, k).value
                     == brute_force_densest_subgraph(h2, k).value)
         inst, inst2 = expand_to_blocking_instance(h), expand_to_blocking_instance(h2)
-        assert (brute_force_edge_blocking(inst.graph, 2, inst.seeds).value
-                == brute_force_edge_blocking(inst2.graph, 2, inst2.seeds).value)
+        assert (brute_force_edge_blocking(inst.graph, 2, [inst.hub]).value
+                == brute_force_edge_blocking(inst2.graph, 2, [inst2.hub]).value)
 
 
 def test_verify_validation():
