@@ -12,6 +12,9 @@ from .graph import Graph, adjacency, distance_stats, row_blocks
 PAGERANK_DAMPING = 0.85
 PAGERANK_TOL = 1e-10         # L1 step that ends the power iteration
 PAGERANK_MAX_ITER = 10_000
+# elements per weighted-Brandes source block (sources x max(2m, n)); bounds
+# memory only, since no result depends on where the blocks split
+_SOURCE_BLOCK_ELEMENTS = 1 << 17
 
 
 class ConvergenceError(RuntimeError):
@@ -78,48 +81,83 @@ def edge_betweenness(g: Graph, weighted: bool = False) -> np.ndarray:
 
 
 def _betweenness_weighted(g: Graph) -> np.ndarray:
-    """Brandes with edge length 1 - weight, one Dijkstra per source.
+    """Brandes with edge length 1 - weight, over blocks of sources.
 
-    The heap holds (distance, node) keys, which never repeat, since a node
-    is pushed again only at a strictly smaller distance; so nodes are
-    finalized in a fixed order even across zero-length edges.  v is a
-    predecessor of w when it was finalized first and dist[v] + len(v, w)
-    equals dist[w] exactly, which keeps the shortest-path DAG acyclic.
+    Distances come from ``csgraph.dijkstra``.  Each source finalizes its
+    reached nodes in the order a Dijkstra heap of (distance, node) keys
+    pops them: by (distance, node id), unless an arc joins two nodes at
+    equal distance on a shortest path (a zero length, or one the sum
+    absorbs), which can pop a higher id first; such a source takes its
+    order from :func:`_heap_order`.  v is a predecessor of w when it is
+    finalized first and dist[v] + len(v, w) equals dist[w] exactly, which
+    keeps the shortest-path DAG acyclic.  Path counts go forward and
+    dependencies backward one finalization rank at a time across the
+    block, each sum in the order a per-source loop would take it, and each
+    edge's shares join ``bc`` in source order, so the result does not
+    depend on the block size.
     """
-    indptr, nbrs, eids = g.indptr.tolist(), g.nbrs.tolist(), g.adj_eid.tolist()
-    length = (1.0 - g.w[g.adj_eid]).tolist()
-    bc = [0.0] * g.m
-    for s in range(g.n):
-        dist, sigma, pos = [math.inf] * g.n, [0.0] * g.n, [-1] * g.n
-        dist[s], sigma[s] = 0.0, 1.0
-        order = []
-        heap = [(0.0, s)]
-        while heap:
-            d, v = heapq.heappop(heap)
-            if pos[v] >= 0:
-                continue
-            pos[v] = len(order)
-            order.append(v)
-            for j in range(indptr[v], indptr[v + 1]):
-                w = nbrs[j]
-                if pos[w] >= 0:
-                    continue
-                nd = d + length[j]
-                if nd < dist[w]:
-                    dist[w], sigma[w] = nd, sigma[v]
-                    heapq.heappush(heap, (nd, w))
-                elif nd == dist[w]:
-                    sigma[w] += sigma[v]
-        delta = [0.0] * g.n
-        for w in reversed(order):
-            coef = (1.0 + delta[w]) / sigma[w]
-            for j in range(indptr[w], indptr[w + 1]):
-                v = nbrs[j]
-                if pos[v] < pos[w] and dist[v] + length[j] == dist[w]:
-                    c = sigma[v] * coef
-                    bc[eids[j]] += c
-                    delta[v] += c
-    return np.array(bc) * 0.5
+    from scipy.sparse import csgraph
+
+    n = g.n
+    length = 1.0 - g.w[g.adj_eid]
+    tail = np.repeat(np.arange(n, dtype=np.int64), g.degrees)
+    a = adjacency(g, length)
+    bc = np.zeros(g.m)
+    for lo, hi in row_blocks(n, max(2 * g.m, n), _SOURCE_BLOCK_ELEMENTS):
+        rows = np.arange(hi - lo)
+        dist = csgraph.dijkstra(a, indices=np.arange(lo, hi))
+        pos = np.empty(dist.shape, dtype=np.int32)
+        pos[rows[:, None], np.argsort(dist, axis=1, kind="stable")] = np.arange(n)
+        d_tail, d_head = dist[:, tail], dist[:, g.nbrs]
+        on_path = d_tail + length == d_head
+        on_path &= np.isfinite(d_head)
+        tied = np.flatnonzero((on_path & (d_tail == d_head)).any(axis=1))
+        del d_tail, d_head
+        lists = (g.indptr.tolist(), g.nbrs.tolist(), length.tolist()) if tied.size else None
+        for row in tied:
+            reached = _heap_order(*lists, lo + row)
+            pos[row, reached] = np.arange(len(reached))
+        src, slot = np.nonzero(on_path & (pos[:, tail] < pos[:, g.nbrs]))
+        # arcs v -> w in source order; flat indices into the (source, node) arrays
+        v, w = src * n + tail[slot], src * n + g.nbrs[slot]
+        rank_w = pos.ravel()[w].astype(np.int64)
+        by_rank = np.argsort(rank_w * n + pos.ravel()[v])     # head rank, then tail rank
+        v, w = v[by_rank], w[by_rank]
+        bounds = np.searchsorted(rank_w[by_rank], np.arange(rank_w.max(initial=0) + 2))
+        ranks = range(1, bounds.size - 1)
+        sigma = np.zeros(dist.size)
+        sigma[rows * n + lo + rows] = 1.0
+        for r in ranks:
+            i, j = bounds[r], bounds[r + 1]
+            np.add.at(sigma, w[i:j], sigma[v[i:j]])
+        delta = np.zeros(dist.size)
+        share = np.empty(v.size)
+        for r in reversed(ranks):
+            i, j = bounds[r], bounds[r + 1]
+            c = sigma[v[i:j]] * ((1.0 + delta[w[i:j]]) / sigma[w[i:j]])
+            delta[v[i:j]] += c
+            share[by_rank[i:j]] = c
+        np.add.at(bc, g.adj_eid[slot], share)
+    return bc * 0.5
+
+
+def _heap_order(indptr, nbrs, length, s) -> list:
+    """Nodes reached from s in the order a Dijkstra heap of (distance,
+    node) keys finalizes them; CSR lists with per-slot ``length``."""
+    dist, done, order = {s: 0.0}, set(), []
+    heap = [(0.0, s)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v in done:
+            continue
+        done.add(v)
+        order.append(v)
+        for j in range(indptr[v], indptr[v + 1]):
+            w, nd = nbrs[j], d + length[j]
+            if w not in done and nd < dist.get(w, math.inf):
+                dist[w] = nd
+                heapq.heappush(heap, (nd, w))
+    return order
 
 
 def _betweenness_by_levels(g: Graph) -> np.ndarray:

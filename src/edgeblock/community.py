@@ -19,6 +19,7 @@ weight)`` pairs and its degree; a walk builds level 0 once and shares it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -53,7 +54,8 @@ def _aggregate(adj, node_k, labels, nc):
 
 
 def _local_moving(adj, node_k, order, gamma, two_m) -> list:
-    """Greedy moves of single nodes, in ``order``, until a pass moves none.
+    """Greedy moves of single nodes, visiting ``order`` cyclically, until
+    ``len(order)`` visits in a row have moved nothing.
 
     Returns each node's community, numbered densely by first occurrence in
     node order; moves start from singletons.  Node v
@@ -61,29 +63,35 @@ def _local_moving(adj, node_k, order, gamma, two_m) -> list:
     / two_m (terms shared by all c dropped), and leaves its own only for a
     gain larger by more than 1e-12.  Link weights are summed per community
     in the order v's neighbors are listed, and ties go to the community
-    touched first.
+    touched first.  Stopping after n quiet visits gives the partition that
+    repeating whole passes until one moves nothing gives: a quiet visit
+    leaves the state as it was (tot holds integer-valued floats, so taking
+    k_v out and putting it back is exact), so once every node has been
+    visited quietly, every later visit would see the same state again.
     """
     comm = list(range(len(node_k)))
     tot = list(node_k)
-    moved = True
-    while moved:
-        moved = False
-        for v in order:
-            cv, kv = comm[v], node_k[v]
-            links = {}
-            for u, w in adj[v]:
-                c = comm[u]
-                links[c] = links.get(c, 0.0) + w
-            tot[cv] -= kv
-            best, bc = links.pop(cv, 0.0) - gamma * tot[cv] * kv / two_m, cv
-            for c, wc in links.items():
-                gain = wc - gamma * tot[c] * kv / two_m
-                if gain > best + 1e-12:
-                    best, bc = gain, c
-            tot[bc] += kv
-            if bc != cv:
-                comm[v] = bc
-                moved = True
+    quiet = 0
+    for v in itertools.cycle(order):
+        cv, kv = comm[v], node_k[v]
+        links = {}
+        for u, w in adj[v]:
+            c = comm[u]
+            links[c] = links.get(c, 0.0) + w
+        tot[cv] -= kv
+        best, bc = links.pop(cv, 0.0) - gamma * tot[cv] * kv / two_m, cv
+        for c, wc in links.items():
+            gain = wc - gamma * tot[c] * kv / two_m
+            if gain > best + 1e-12:
+                best, bc = gain, c
+        tot[bc] += kv
+        if bc != cv:
+            comm[v] = bc
+            quiet = 0
+        else:
+            quiet += 1
+            if quiet == len(order):
+                break
     ids = {}
     return [ids.setdefault(c, len(ids)) for c in comm]
 

@@ -8,9 +8,10 @@ backs the kernels; per-edge values such as weights stay in edge order and
 are gathered through the slot ids.  Instances are frozen and their arrays
 are marked read-only, so they are safe to share across threads.
 
-The sparse kernels (common neighbors, distances) run on ``scipy.sparse``,
-which :func:`adjacency` imports on the first such call; construction,
-ingestion and girth need only numpy.  Connectivity is a reachability
+Distances run on ``scipy.sparse``, which :func:`adjacency` imports on the
+first such call; construction, ingestion, girth and the common-neighbor
+counts behind Jaccard weights and triangles (a popcount over packed
+neighbor bits) need only numpy.  Connectivity is a reachability
 query, ``cascade.is_connected``, on the one spread primitive.
 """
 
@@ -27,8 +28,8 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
-# elements per block (rows x row width) of the common-neighbor products,
-# the shortest-path source blocks and the Brandes source batches; bounds
+# elements per block (rows x row width) of the common-neighbor edge blocks,
+# the shortest-path source blocks and the unweighted Brandes batches; bounds
 # memory only, since no result depends on where the blocks split
 _BLOCK_ELEMENTS = 1 << 16
 
@@ -276,10 +277,10 @@ def write_edge_list(g: Graph, sink) -> None:
 # derived quantities
 # ---------------------------------------------------------------------------
 
-def row_blocks(rows: int, width: int):
-    """Consecutive ``(lo, hi)`` row ranges of at most _BLOCK_ELEMENTS
-    elements when each row holds ``width``."""
-    step = max(1, _BLOCK_ELEMENTS // max(width, 1))
+def row_blocks(rows: int, width: int, elements: int | None = None):
+    """Consecutive ``(lo, hi)`` row ranges of at most ``elements`` (by
+    default _BLOCK_ELEMENTS) elements when each row holds ``width``."""
+    step = max(1, (elements or _BLOCK_ELEMENTS) // max(width, 1))
     for lo in range(0, rows, step):
         yield lo, min(lo + step, rows)
 
@@ -294,14 +295,22 @@ def adjacency(g: Graph, data):
 
 
 def _common_neighbors(g: Graph) -> np.ndarray:
-    """Per-edge count of common neighbors: (A @ A)[eu, ev], by node-row
-    blocks; eu is sorted, so each block owns a contiguous run of edge ids."""
-    a = adjacency(g, np.ones(2 * g.m, dtype=np.int32))
-    out = np.zeros(g.m, dtype=np.int64)
-    for lo, hi in row_blocks(g.n, g.n):
-        e0, e1 = np.searchsorted(g.eu, [lo, hi])
-        if e0 < e1:
-            out[e0:e1] = (a[lo:hi] @ a)[g.eu[e0:e1] - lo, g.ev[e0:e1]]
+    """Per-edge count of common neighbors, by bit popcount.
+
+    Each node's neighbor set is packed into ``ceil(n / 64)`` uint64 words
+    (bit ``u % 64`` of word ``u // 64``), so the table takes n^2 / 8 bytes;
+    edge (u, v) counts the set bits of ``bits[u] & bits[v]``, in edge
+    blocks.  Integer counts, so exact; needs numpy only.
+    """
+    words = (g.n + 63) >> 6
+    bits = np.zeros(g.n * words, dtype=np.uint64)
+    row_start = np.repeat(np.arange(g.n, dtype=np.int64) * words, g.degrees)
+    np.bitwise_or.at(bits, row_start + (g.nbrs >> 6),
+                     np.left_shift(np.uint64(1), (g.nbrs & 63).astype(np.uint64)))
+    bits = bits.reshape(g.n, words)
+    out = np.empty(g.m, dtype=np.int64)
+    for lo, hi in row_blocks(g.m, words):
+        out[lo:hi] = np.bitwise_count(bits[g.eu[lo:hi]] & bits[g.ev[lo:hi]]).sum(axis=1)
     return out
 
 

@@ -9,11 +9,12 @@ from edgeblock.centrality import (
     node_pagerank,
 )
 from edgeblock.generators import gnm_random_graph, with_random_weights
-from edgeblock.graph import from_edge_arrays
+from edgeblock.graph import from_edge_arrays, row_blocks
 from oracle_utils import (
     brute_edge_betweenness,
     dense_pagerank,
     dijkstra_closeness,
+    edge_betweenness_weighted,
     heap_dijkstra,
 )
 
@@ -152,6 +153,40 @@ def test_betweenness_weighted_zero_length_edges_finite():
     bc = edge_betweenness(g.with_weights(np.ones(g.m)), weighted=True)
     assert np.all(np.isfinite(bc))
     assert np.all(bc >= 0)
+
+
+def _weighted_oracle_bytes(g):
+    return edge_betweenness_weighted(g.indptr, g.nbrs, 1.0 - g.w[g.adj_eid], g.adj_eid, g.m).tobytes()
+
+
+def test_betweenness_weighted_zero_length_chain_takes_heap_order():
+    # the chain 0 - 3 - 1 - 2 has length 0 (weight 1) edges and hangs 4 and 5
+    # off its ends; from 0 the heap pops 3, 1, 2 at distance 0, higher ids
+    # before lower, where a (distance, id) order would put 1 before 3
+    g = from_edge_arrays(6, [0, 1, 1, 0, 2], [3, 3, 2, 4, 5], [1.0, 1.0, 1.0, 0.5, 0.25])
+    lengths = (1.0 - g.w[g.adj_eid]).tolist()
+    assert centrality_mod._heap_order(g.indptr.tolist(), g.nbrs.tolist(), lengths, 0)[:4] == [0, 3, 1, 2]
+    assert edge_betweenness(g, weighted=True).tobytes() == _weighted_oracle_bytes(g)
+
+
+def test_betweenness_weighted_disconnected_matches_oracle():
+    # two random weighted components, one of them a lone edge, and isolated nodes
+    h = with_random_weights(gnm_random_graph(7, 12, 8), 8)
+    g = from_edge_arrays(12, np.r_[h.eu + 2, 10], np.r_[h.ev + 2, 11], np.r_[h.w, 0.5])
+    assert edge_betweenness(g, weighted=True).tobytes() == _weighted_oracle_bytes(g)
+
+
+def test_betweenness_weighted_small_source_blocks_match_oracle(monkeypatch):
+    # shares join each edge in source order, so block seams change no bit
+    graphs = [with_random_weights(gnm_random_graph(11, 25, s), s) for s in range(3)]
+    graphs.append(graphs[0].with_weights(np.ones(graphs[0].m)))   # every source ties
+    for g in graphs:
+        whole = edge_betweenness(g, weighted=True).tobytes()
+        assert whole == _weighted_oracle_bytes(g)
+        with monkeypatch.context() as patch:
+            patch.setattr(centrality_mod, "_SOURCE_BLOCK_ELEMENTS", 3 * 2 * g.m)
+            assert len(list(row_blocks(g.n, 2 * g.m, 3 * 2 * g.m))) > 2
+            assert edge_betweenness(g, weighted=True).tobytes() == whole
 
 
 def test_betweenness_pair_mass_conservation():

@@ -211,6 +211,35 @@ def test_jaccard_matches_definition_random():
         assert w == pytest.approx(expect, abs=1e-15)
 
 
+def _sparse_with_isolated(n, seed):
+    """Random graph on n nodes, every fifth node (id % 5 == 2) isolated,
+    consecutive non-isolated nodes always joined; its edge pairs too."""
+    rng = np.random.default_rng(seed)
+    live = [v for v in range(n) if v % 5 != 2]
+    pairs = [(u, v) for i, u in enumerate(live) for v in live[i + 1:]
+             if v == live[i + 1] or rng.random() < 0.2]
+    eu, ev = zip(*pairs) if pairs else ((), ())
+    return from_edge_arrays(n, eu, ev), pairs
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
+def test_common_neighbors_match_set_intersection(n, monkeypatch):
+    # n around the 64-bit word edges, with isolated nodes between live ones
+    g, pairs = _sparse_with_isolated(n, n)
+    nbr = [set() for _ in range(n)]
+    for u, v in pairs:
+        nbr[u].add(v)
+        nbr[v].add(u)
+    want = [len(nbr[u] & nbr[v]) for u, v in zip(g.eu.tolist(), g.ev.tolist())]
+    got = graph_mod._common_neighbors(g)
+    assert got.dtype == np.int64 and got.tolist() == want
+    words = (n + 63) // 64
+    # edge blocks of 3 edges split the edge list mid-graph
+    monkeypatch.setattr(graph_mod, "_BLOCK_ELEMENTS", 3 * words)
+    assert g.m < 4 or len(list(row_blocks(g.m, words))) > 2
+    assert graph_mod._common_neighbors(g).tolist() == want
+
+
 def test_jaccard_requires_edges():
     with pytest.raises(ValueError):
         assign_jaccard_weights(from_edge_arrays(3, [], []))
@@ -255,7 +284,8 @@ def test_results_independent_of_block_size(monkeypatch):
         whole = _blocked_layers(g)
         with monkeypatch.context() as patch:
             patch.setattr(graph_mod, "_BLOCK_ELEMENTS", 2 * max(g.n, g.m))
-            # common-neighbor rows and distance sources; Brandes batches
+            # distance sources and Brandes batches (common-neighbor edge
+            # blocks split in test_common_neighbors_match_set_intersection)
             assert len(list(row_blocks(g.n, g.n))) > 2
             assert len(list(row_blocks(g.n, max(g.n, g.m)))) > 2
             assert _blocked_layers(g) == whole

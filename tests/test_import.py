@@ -1,6 +1,6 @@
 """``import edgeblock`` in a fresh interpreter stays light: it loads no
-scipy module, and neither does the hardness lab; ``scipy.sparse`` loads at
-the first sparse kernel call, numba never.  The benchmark's checked probes
+scipy module, and neither do the hardness lab and Jaccard weights;
+``scipy.sparse`` loads at the first sparse kernel call, numba never.  The benchmark's checked probes
 name functions that still exist, and still read the arguments and results
 they check."""
 
@@ -23,14 +23,15 @@ import edgeblock
 print(json.dumps({"numba": edgeblock.NUMBA_ENABLED, "modules": sorted(sys.modules)}))
 """
 
-# the hardness sweep through the CLI, then a first sparse kernel call
+# the hardness sweep through the CLI, Jaccard weights, then a first sparse
+# kernel call
 _HARDNESS_PROBE = r"""
 import contextlib
 import io
 import json
 import sys
 from edgeblock import cli
-from edgeblock.graph import assign_jaccard_weights, from_edge_arrays
+from edgeblock.graph import assign_jaccard_weights, from_edge_arrays, graph_stats
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
@@ -38,9 +39,11 @@ def scipy_modules():
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.dispatch(["hardness", "verify", "--sweep-all-small", "3"])
 after_hardness = scipy_modules()
-assign_jaccard_weights(from_edge_arrays(3, [0, 1], [1, 2]))
+g = assign_jaccard_weights(from_edge_arrays(3, [0, 1], [1, 2]))
+after_jaccard = scipy_modules()
+graph_stats(g)
 print(json.dumps({"code": code, "after_hardness": after_hardness,
-                  "after_jaccard": scipy_modules()}))
+                  "after_jaccard": after_jaccard, "after_stats": scipy_modules()}))
 """
 
 # runs a small grid under the benchmark's recorder, as perfbench/child.py
@@ -96,8 +99,10 @@ def test_hardness_lab_loads_no_scipy():
     got = _run_probe(_HARDNESS_PROBE)
     assert got["code"] == 0
     assert got["after_hardness"] == []
+    # common neighbors are a popcount over packed bits, not a sparse product
+    assert got["after_jaccard"] == []
     # the control: the probe would see scipy once a sparse kernel loads it
-    assert "scipy.sparse" in got["after_jaccard"]
+    assert "scipy.sparse" in got["after_stats"]
 
 
 def test_checked_benchmark_probes_exist():

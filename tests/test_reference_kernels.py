@@ -9,7 +9,7 @@ import pytest
 from edgeblock.centrality import edge_betweenness
 from edgeblock.community import louvain_partition
 from edgeblock.generators import gnm_random_graph, planted_partition
-from edgeblock.graph import assign_jaccard_weights, girth
+from edgeblock.graph import assign_jaccard_weights, from_edge_arrays, girth
 from edgeblock.hardness import brute_force_densest_subgraph
 from edgeblock.seeding import rng_for
 from oracle_utils import (
@@ -61,6 +61,20 @@ def test_louvain_matches_array_reference_across_resolutions():
         for i, r in enumerate((0.05, 0.3, 1.0, 3.0)):
             got = louvain_partition(g, r, rng_for(s, i))
             assert np.array_equal(got, louvain_partition_reference(g, r, rng_for(s, i)))
+
+
+def test_louvain_matches_array_reference_with_isolated_nodes_and_one_edge():
+    # an isolated node has k = 0 and never moves; a lone edge merges or not
+    # by resolution
+    graphs = [from_edge_arrays(2, [0], [1]), from_edge_arrays(5, [1], [3])]
+    for s in range(12):
+        h = gnm_random_graph(6 + s % 9, 6 + s % 9 + s % 7, s)
+        spread = 3 * np.arange(h.n) + 1     # ids 0, 2, 3, 5, ... stay isolated
+        graphs.append(from_edge_arrays(3 * h.n + 1, spread[h.eu], spread[h.ev]))
+    for s, g in enumerate(graphs):
+        for i, r in enumerate((0.05, 0.5, 1.0, 3.0)):
+            got = louvain_partition(g, r, rng_for(s, i))
+            assert np.array_equal(got, louvain_partition_reference(g, r, rng_for(s, i))), (s, r)
 
 
 def test_louvain_labels_dense_by_first_occurrence():
