@@ -12,9 +12,6 @@ from .graph import Graph, adjacency, distance_stats, row_blocks
 PAGERANK_DAMPING = 0.85
 PAGERANK_TOL = 1e-10         # L1 step that ends the power iteration
 PAGERANK_MAX_ITER = 10_000
-# elements per weighted-Brandes source block (sources x max(2m, n)); bounds
-# memory only, since no result depends on where the blocks split
-_SOURCE_BLOCK_ELEMENTS = 1 << 17
 
 
 class ConvergenceError(RuntimeError):
@@ -90,9 +87,12 @@ def _betweenness_weighted(g: Graph) -> np.ndarray:
     absorbs), which can pop a higher id first; such a source takes its
     order from :func:`_heap_order`.  v is a predecessor of w when it is
     finalized first and dist[v] + len(v, w) equals dist[w] exactly, which
-    keeps the shortest-path DAG acyclic.  Path counts go forward and
-    dependencies backward one finalization rank at a time across the
-    block, each sum in the order a per-source loop would take it, and each
+    keeps the shortest-path DAG acyclic.  Arcs go in groups by the depth
+    of their tail, its longest arc chain from the source, so each node's
+    predecessors are shallower than it.  Path counts go forward a group at
+    a time; being integer-valued, their sums are exact in any order.
+    Dependencies go backward, deepest group first, and each tail adds its
+    shares in descending head rank, as a per-source heap loop does.  Each
     edge's shares join ``bc`` in source order, so the result does not
     depend on the block size.
     """
@@ -103,7 +103,7 @@ def _betweenness_weighted(g: Graph) -> np.ndarray:
     tail = np.repeat(np.arange(n, dtype=np.int64), g.degrees)
     a = adjacency(g, length)
     bc = np.zeros(g.m)
-    for lo, hi in row_blocks(n, max(2 * g.m, n), _SOURCE_BLOCK_ELEMENTS):
+    for lo, hi in row_blocks(n, max(2 * g.m, n)):
         rows = np.arange(hi - lo)
         dist = csgraph.dijkstra(a, indices=np.arange(lo, hi))
         pos = np.empty(dist.shape, dtype=np.int32)
@@ -120,23 +120,23 @@ def _betweenness_weighted(g: Graph) -> np.ndarray:
         src, slot = np.nonzero(on_path & (pos[:, tail] < pos[:, g.nbrs]))
         # arcs v -> w in source order; flat indices into the (source, node) arrays
         v, w = src * n + tail[slot], src * n + g.nbrs[slot]
-        rank_w = pos.ravel()[w].astype(np.int64)
-        by_rank = np.argsort(rank_w * n + pos.ravel()[v])     # head rank, then tail rank
-        v, w = v[by_rank], w[by_rank]
-        bounds = np.searchsorted(rank_w[by_rank], np.arange(rank_w.max(initial=0) + 2))
-        ranks = range(1, bounds.size - 1)
+        depth = np.zeros(dist.size, dtype=np.int64)
+        while np.any(depth[w] <= depth[v]):
+            np.maximum.at(depth, w, depth[v] + 1)
+        # tail depth (longest arc chain from the source), then head rank descending
+        by_depth = np.argsort(depth[v] * n - pos.ravel()[w], kind="stable")
+        v, w = v[by_depth], w[by_depth]
+        bounds = np.searchsorted(depth[v], np.arange(depth.max() + 2))
+        groups = [slice(i, j) for i, j in zip(bounds[:-1], bounds[1:])]
         sigma = np.zeros(dist.size)
         sigma[rows * n + lo + rows] = 1.0
-        for r in ranks:
-            i, j = bounds[r], bounds[r + 1]
-            np.add.at(sigma, w[i:j], sigma[v[i:j]])
-        delta = np.zeros(dist.size)
-        share = np.empty(v.size)
-        for r in reversed(ranks):
-            i, j = bounds[r], bounds[r + 1]
-            c = sigma[v[i:j]] * ((1.0 + delta[w[i:j]]) / sigma[w[i:j]])
-            delta[v[i:j]] += c
-            share[by_rank[i:j]] = c
+        for s in groups:
+            np.add.at(sigma, w[s], sigma[v[s]])
+        delta, share = np.zeros(dist.size), np.empty(v.size)
+        for s in reversed(groups):
+            c = sigma[v[s]] * ((1.0 + delta[w[s]]) / sigma[w[s]])
+            np.add.at(delta, v[s], c)
+            share[by_depth[s]] = c
         np.add.at(bc, g.adj_eid[slot], share)
     return bc * 0.5
 

@@ -29,8 +29,8 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 # elements per block (rows x row width) of the common-neighbor edge blocks,
-# the shortest-path source blocks and the unweighted Brandes batches; bounds
-# memory only, since no result depends on where the blocks split
+# the shortest-path source blocks and both Brandes kernels' source blocks;
+# bounds memory only, since no result depends on where the blocks split
 _BLOCK_ELEMENTS = 1 << 16
 
 
@@ -277,10 +277,10 @@ def write_edge_list(g: Graph, sink) -> None:
 # derived quantities
 # ---------------------------------------------------------------------------
 
-def row_blocks(rows: int, width: int, elements: int | None = None):
-    """Consecutive ``(lo, hi)`` row ranges of at most ``elements`` (by
-    default _BLOCK_ELEMENTS) elements when each row holds ``width``."""
-    step = max(1, (elements or _BLOCK_ELEMENTS) // max(width, 1))
+def row_blocks(rows: int, width: int):
+    """Consecutive ``(lo, hi)`` row ranges of at most _BLOCK_ELEMENTS
+    elements when each row holds ``width``."""
+    step = max(1, _BLOCK_ELEMENTS // max(width, 1))
     for lo in range(0, rows, step):
         yield lo, min(lo + step, rows)
 

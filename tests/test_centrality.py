@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from edgeblock import centrality as centrality_mod
+from edgeblock import graph as graph_mod
 from edgeblock.centrality import (
     ConvergenceError,
     edge_betweenness,
@@ -184,9 +185,26 @@ def test_betweenness_weighted_small_source_blocks_match_oracle(monkeypatch):
         whole = edge_betweenness(g, weighted=True).tobytes()
         assert whole == _weighted_oracle_bytes(g)
         with monkeypatch.context() as patch:
-            patch.setattr(centrality_mod, "_SOURCE_BLOCK_ELEMENTS", 3 * 2 * g.m)
-            assert len(list(row_blocks(g.n, 2 * g.m, 3 * 2 * g.m))) > 2
+            patch.setattr(graph_mod, "_BLOCK_ELEMENTS", 3 * 2 * g.m)
+            assert len(list(row_blocks(g.n, 2 * g.m))) > 2
             assert edge_betweenness(g, weighted=True).tobytes() == whole
+
+
+def test_betweenness_weighted_deep_dags_match_oracle(monkeypatch):
+    # a 130-node path and cycle run the depth relaxation for many rounds;
+    # four-level weights include 1.0, so zero-length runs tie sources
+    rng = np.random.default_rng(26)
+    path = np.arange(129)
+    cycle = from_edge_arrays(130, np.r_[path, 129], np.r_[path + 1, 0])
+    for h in (from_edge_arrays(130, path, path + 1), cycle):
+        for w in (rng.random(h.m), rng.choice([0.25, 0.5, 0.75, 1.0], h.m)):
+            g = h.with_weights(w)
+            whole = edge_betweenness(g, weighted=True).tobytes()
+            assert whole == _weighted_oracle_bytes(g)
+            with monkeypatch.context() as patch:
+                patch.setattr(graph_mod, "_BLOCK_ELEMENTS", 1)     # one source per block
+                assert len(list(row_blocks(g.n, 2 * g.m))) == g.n
+                assert edge_betweenness(g, weighted=True).tobytes() == whole
 
 
 def test_betweenness_pair_mass_conservation():

@@ -270,7 +270,8 @@ def test_triangles_match_bruteforce():
 def _blocked_layers(g):
     jac = assign_jaccard_weights(g)
     return (jac.w.tolist(), graph_stats(g), node_closeness(g).tolist(),
-            node_closeness(jac, weighted=True).tolist())
+            node_closeness(jac, weighted=True).tolist(),
+            edge_betweenness(jac, weighted=True).tobytes())
 
 
 def test_results_independent_of_block_size(monkeypatch):
