@@ -17,7 +17,7 @@ from .cascade import (
     estimate_spreads,
     sample_seed_set,
 )
-from .centrality import ConvergenceError, edge_betweenness, node_closeness, node_pagerank
+from .centrality import edge_betweenness, node_closeness, node_pagerank
 from .community import (
     SweepParams,
     inter_community_edges,

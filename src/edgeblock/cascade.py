@@ -33,20 +33,12 @@ import math
 
 import numpy as np
 
-from .graph import Graph, checked_edge_ids, csr_index, integer_ids
+from .graph import Graph, checked_ids, csr_index
 from .seeding import as_rng, rng_for
 
 # edge states per chunk of masks (rows x max(m, n)); bounds memory only,
 # since no result depends on where the chunks split
 _CHUNK_ELEMENTS = 1 << 20
-
-
-def _seed_array(g: Graph, seeds) -> np.ndarray:
-    """Sorted distinct int64 seed ids; ValueError on a non-integer id or one outside [0, n)."""
-    arr = np.unique(integer_ids(seeds, "seed nodes"))
-    if arr.size and (arr[0] < 0 or arr[-1] >= g.n):
-        raise ValueError("seed node out of range")
-    return arr
 
 
 def _in_arcs(g: Graph, arcs=None):
@@ -57,9 +49,9 @@ def _in_arcs(g: Graph, arcs=None):
     ``arcs[e, 0] -> arcs[e, 1]``."""
     if arcs is None:
         return g.indptr, g.nbrs, g.adj_eid
-    arcs = np.asarray(arcs, dtype=np.int64)
-    if arcs.shape != (g.m, 2):
+    if np.shape(arcs) != (g.m, 2):
         raise ValueError("arcs must hold one (tail, head) pair per edge")
+    arcs = checked_ids(arcs, g.n, "arc endpoint").reshape(g.m, 2)
     if not np.array_equal(np.sort(arcs, axis=1), np.stack([g.eu, g.ev], axis=1)):
         raise ValueError("arcs must orient the graph's own edges, in edge-id order")
     return csr_index(g.n, arcs[:, 1], arcs[:, 0])
@@ -71,7 +63,9 @@ def reach_counts(g: Graph, live: np.ndarray, seeds, arcs=None) -> np.ndarray:
     ``live`` is bool[m, masks]: edge e is live in mask j when
     ``live[e, j]``.  Every edge conducts both ways; with ``arcs``
     (int64[m, 2]) edge e conducts only from ``arcs[e, 0]`` to
-    ``arcs[e, 1]``.  ValueError unless ``live`` is 2-D with exactly m rows.
+    ``arcs[e, 1]``.  ValueError unless ``live`` is 2-D with exactly m rows,
+    and on a seed or arc endpoint that is not an integer in [0, n)
+    (:func:`~edgeblock.graph.checked_ids`).
 
     Each edge's masks are packed as by ``np.packbits``, zero-padded to
     whole 8-byte words and viewed as uint64, 64 masks per word.  Reach is
@@ -94,7 +88,7 @@ def reach_counts(g: Graph, live: np.ndarray, seeds, arcs=None) -> np.ndarray:
     targets = np.flatnonzero(np.diff(indptr))
     starts = indptr[targets]
     reach = np.zeros((g.n, bits.shape[1]), dtype=np.uint64)
-    reach[_seed_array(g, seeds)] = ~np.uint64(0)
+    reach[checked_ids(seeds, g.n, "seed node")] = ~np.uint64(0)
     while targets.size:
         cur = reach[targets]
         grown = np.bitwise_or.reduceat(reach[tails] & bits, starts, axis=0) | cur
@@ -130,11 +124,13 @@ def estimate_spreads(g: Graph, seeds, samples: int, master_seed: int, blocked_se
     (common random numbers), and blocking more edges never raises any
     replicate's spread.  Each chunk of at most ``_CHUNK_ELEMENTS`` edge
     states, split over rows and sets, takes one :func:`reach_counts` call.
+    ValueError on a seed that is not an integer in [0, n) or a blocked id
+    that is not one in [0, m).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    arr = _seed_array(g, seeds)
-    sets = [checked_edge_ids(g, b) for b in blocked_sets]
+    seeds = checked_ids(seeds, g.n, "seed node")
+    sets = [checked_ids(b, g.m, "edge id") for b in blocked_sets]
     sums = [[0, 0] for _ in sets]     # per set: sum of counts, of squared counts
     rng = rng_for(master_seed)
     step = min(samples, _chunk_rows(g))
@@ -147,7 +143,7 @@ def estimate_spreads(g: Graph, seeds, samples: int, master_seed: int, blocked_se
             live[np.concatenate(chunk),
                  np.repeat(np.arange(len(chunk)), [ids.size for ids in chunk])] = False
             counts = reach_counts(g, live.reshape(g.m, live.shape[1] * live.shape[2]),
-                                  arr).reshape(len(chunk), -1)
+                                  seeds).reshape(len(chunk), -1)
             for acc, c in zip(sums[lo:lo + per], counts):
                 acc[0] += int(c.sum())
                 acc[1] += int(c @ c)

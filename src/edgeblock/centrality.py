@@ -11,16 +11,6 @@ from .graph import Graph, adjacency, distance_stats, row_blocks
 
 PAGERANK_DAMPING = 0.85
 PAGERANK_TOL = 1e-10         # L1 step that ends the power iteration
-PAGERANK_MAX_ITER = 10_000
-
-
-class ConvergenceError(RuntimeError):
-    """Iteration cap reached; carries the last residual."""
-
-    def __init__(self, message, residual, iterations):
-        super().__init__(f"{message} (residual {residual:.3e} after {iterations} iterations)")
-        self.residual = residual
-        self.iterations = iterations
 
 
 def node_pagerank(g: Graph) -> np.ndarray:
@@ -28,7 +18,8 @@ def node_pagerank(g: Graph) -> np.ndarray:
 
     Degree-zero nodes redistribute their mass uniformly, so the vector sums
     to 1.  Damping is PAGERANK_DAMPING; stops when the L1 step falls below
-    PAGERANK_TOL, and raises after PAGERANK_MAX_ITER steps.
+    PAGERANK_TOL.  The update is an L1 contraction by the damping factor,
+    so step t is at most 2 * 0.85^t and the loop ends by t = 146.
     """
     n = g.n
     if n == 0:
@@ -40,14 +31,12 @@ def node_pagerank(g: Graph) -> np.ndarray:
     x = np.full(n, 1.0 / n)
     teleport = (1.0 - PAGERANK_DAMPING) / n
     residual = np.inf
-    for _ in range(PAGERANK_MAX_ITER):
+    while residual >= PAGERANK_TOL:
         mass = x[dangling].sum()
         x_new = PAGERANK_DAMPING * (trans @ x + mass / n) + teleport
         residual = float(np.abs(x_new - x).sum())
         x = x_new
-        if residual < PAGERANK_TOL:
-            return x
-    raise ConvergenceError("pagerank did not converge", residual, PAGERANK_MAX_ITER)
+    return x
 
 
 def node_closeness(g: Graph, weighted: bool = False) -> np.ndarray:

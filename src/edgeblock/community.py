@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, checked_ids
 from .seeding import as_rng, rng_for
 
 
@@ -168,7 +168,10 @@ def sweep_walk(g: Graph, params: SweepParams, ks, master_seed: int) -> tuple:
     finite (there every node is alone, so the cut is all m edges and can
     only overflow).  ``picks[k]`` is sorted edge ids: every edge when k is m
     or more, none when no cut fits.  ``params.budget`` is not read.
+    ValueError when a budget is not a nonnegative integer (a float or bool
+    budget included).
     """
+    ks = checked_ids(ks, math.inf, "budget").tolist()
     picks = {k: np.arange(g.m if k >= g.m else 0, dtype=np.int64) for k in ks}
     counts = {k: 0 for k in picks if k < g.m}   # stop counter of each open budget
     trace, r = [], params.resolution

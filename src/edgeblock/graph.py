@@ -114,19 +114,17 @@ def from_edge_arrays(n, eu, ev, w=None, labels=None) -> Graph:
 
     Validates simplicity (no self-loops, no duplicates) and weight range,
     canonicalizes to u < v with lexicographic edge order, and builds the
-    CSR index.
+    CSR index.  Endpoints go through :func:`checked_ids` with bound n, so
+    a non-integer endpoint raises ValueError rather than being truncated.
     """
-    eu = np.asarray(eu, dtype=np.int64)
-    ev = np.asarray(ev, dtype=np.int64)
+    eu = checked_ids(eu, n, "endpoint")
+    ev = checked_ids(ev, n, "endpoint")
     m = eu.shape[0]
     if ev.shape[0] != m:
         raise ValueError("endpoint arrays differ in length")
     w = np.ones(m) if w is None else _checked_weights(w, m)
-    if m > 0:
-        if min(eu.min(), ev.min()) < 0 or max(eu.max(), ev.max()) >= n:
-            raise ValueError("endpoint out of range")
-        if np.any(eu == ev):
-            raise ValueError("self-loops are not allowed")
+    if np.any(eu == ev):
+        raise ValueError("self-loops are not allowed")
     lo = np.minimum(eu, ev)
     hi = np.maximum(eu, ev)
     order = np.lexsort((hi, lo))
@@ -425,20 +423,19 @@ def girth(g: Graph):
     return best
 
 
-def integer_ids(ids, what: str) -> np.ndarray:
-    """Flat int64 array of ``ids``, order and repeats kept; ValueError when a
-    non-empty array is not of an integer dtype (bools included), so an id
-    is never truncated."""
+def checked_ids(ids, bound, what: str) -> np.ndarray:
+    """Flat int64 array of ``ids``, order and repeats kept.
+
+    The one rule for every id array (and budget list) the library takes
+    in: ValueError when a non-empty array is not of an integer dtype (bools
+    included), so an id is never truncated, or when an id lies outside
+    [0, ``bound``).  ``what`` names one id in the messages.
+    """
     arr = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids)).reshape(-1)
     if arr.size and (arr.dtype == bool or not np.issubdtype(arr.dtype, np.integer)):
-        raise ValueError(f"{what} must be integers, got dtype {arr.dtype}")
-    return arr.astype(np.int64, copy=False)
-
-
-def checked_edge_ids(g: Graph, edge_ids) -> np.ndarray:
-    """:func:`integer_ids` of the edge ids; ValueError on one outside [0, m)."""
-    ids = integer_ids(edge_ids, "edge ids")
-    bad = ids[(ids < 0) | (ids >= g.m)]
+        raise ValueError(f"each {what} must be an integer, got dtype {arr.dtype}")
+    arr = arr.astype(np.int64, copy=False)
+    bad = arr[(arr < 0) | (arr >= bound)]
     if bad.size:
-        raise ValueError(f"edge id {bad[0]} out of range [0, {g.m})")
-    return ids
+        raise ValueError(f"{what} out of range [0, {bound}): {bad[0]}")
+    return arr

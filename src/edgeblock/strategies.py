@@ -16,7 +16,7 @@ import numpy as np
 from . import community as community_mod
 from .centrality import edge_betweenness, node_closeness, node_pagerank
 from .community import SweepParams
-from .graph import Graph
+from .graph import Graph, checked_ids
 from .seeding import TAG_STRATEGY, TAG_SWEEP, as_rng, rng_for, seed_sequence
 
 STRATEGIES = ("rndm", "hwt", "deg", "wdeg", "clo", "wclo", "bet", "wbet", "pgrk", "community")
@@ -81,13 +81,13 @@ def blocked_sets(g: Graph, strategy: str, ks, master_seed: int, sweep=SweepParam
     code), and takes the top k for each k.  The community strategy walks
     the resolution sweep once for all k, seeded from (TAG_SWEEP,) with
     ``sweep``'s parameters, and looks each k's pick up in that walk.
-    ValueError when a set is not strictly ascending edge ids in [0, m) or
-    holds more than k of them.
+    ValueError when a budget is not a nonnegative integer (a float or bool
+    budget included), and when a set is not strictly ascending edge ids in
+    [0, m) or holds more than k of them.
     """
     code = strategy_code(strategy)
     check_sweep(sweep)
-    if any(k < 0 for k in ks):
-        raise ValueError("k must be nonnegative")
+    ks = checked_ids(ks, np.inf, "budget").tolist()
     if strategy == "community":
         seed = int(seed_sequence(master_seed, TAG_SWEEP).generate_state(1)[0])
         walk = community_mod.sweep_walk(g, sweep, ks, seed)

@@ -21,7 +21,7 @@ import numpy as np
 
 from edgeblock.cascade import reach_counts
 from edgeblock.evaluation import AGGREGATE_HEADER
-from edgeblock.graph import checked_edge_ids, from_edge_arrays
+from edgeblock.graph import checked_ids, from_edge_arrays
 
 
 def brute_triangles(g):
@@ -328,7 +328,7 @@ _ENUM_MASKS = 1 << 12      # live-edge masks per reach_counts call
 
 def edge_tuple(g, e):
     """(u, v, weight) of edge id e; ValueError on an id outside [0, m)."""
-    (e,) = checked_edge_ids(g, [e])
+    (e,) = checked_ids([e], g.m, "edge id")
     return int(g.eu[e]), int(g.ev[e]), float(g.w[e])
 
 
@@ -350,7 +350,7 @@ def same_structure(g, h):
 def remove_edges(g, edge_ids):
     """New Graph without the given canonical edge ids; nodes unchanged."""
     keep = np.ones(g.m, dtype=bool)
-    keep[checked_edge_ids(g, edge_ids)] = False
+    keep[checked_ids(edge_ids, g.m, "edge id")] = False
     return from_edge_arrays(g.n, g.eu[keep], g.ev[keep], g.w[keep], labels=g.labels)
 
 
@@ -392,7 +392,7 @@ def white_count_after_blocking(g, edge_ids, seeds, arcs=None):
     if g.m and not np.all(g.w == 1.0):
         raise ValueError("reachability spread requires all weights equal to 1")
     live = np.ones((g.m, 1), dtype=bool)
-    live[checked_edge_ids(g, edge_ids)] = False
+    live[checked_ids(edge_ids, g.m, "edge id")] = False
     return g.n - int(reach_counts(g, live, seeds, arcs)[0])
 
 

@@ -17,7 +17,7 @@ from edgeblock.generators import (
     random_connected_graph,
     with_random_weights,
 )
-from edgeblock.graph import from_edge_arrays
+from edgeblock.graph import checked_ids, from_edge_arrays
 from edgeblock.hardness import expand_to_blocking_instance
 from edgeblock.seeding import rng_for
 from oracle_utils import (
@@ -307,7 +307,7 @@ def test_seed_validation():
     for repeated in (np.array([2, 0, 2], dtype=np.uint8), [0, 0, 2, 2, 2]):
         assert estimate_spread(HALF_P3, repeated, 50, 3) == estimate_spread(HALF_P3, [0, 2], 50, 3)
         assert reach_counts(P3, live, repeated).tolist() == reach_counts(P3, live, [2, 0]).tolist() == [3]
-        assert cascade_mod._seed_array(P3, repeated).tolist() == [0, 2]
+        assert checked_ids(repeated, P3.n, "seed node").tolist() == list(repeated)
 
 
 def _random_weighted_graph(rng):

@@ -256,6 +256,10 @@ def test_sweep_rejects_a_walk_without_its_budget():
     for others in ([], [params.budget + 1], [g.m]):
         with pytest.raises(ValueError):
             resolution_sweep(g, params, sweep_walk(g, params, others, 5))
+    # a budget that is not a nonnegative integer is refused, not walked
+    for bad in ([1.5], [True], [2, -1]):
+        with pytest.raises(ValueError):
+            sweep_walk(g, params, bad, 5)
 
 
 def test_sweep_deterministic():

@@ -148,6 +148,9 @@ def test_constructor_rejects_bad_input():
         from_edge_arrays(2, [0], [5])          # out of range
     with pytest.raises(ValueError, match="endpoint out of range"):
         from_edge_arrays(3, [1], [-1])         # negative v endpoint
+    for eu, ev in (([0.9, 1.7], [1.2, 2.0]), ([True], [2])):
+        with pytest.raises(ValueError):
+            from_edge_arrays(3, eu, ev)        # float or bool endpoints, never truncated
     with pytest.raises(ValueError, match="differ in length"):
         from_edge_arrays(3, [0, 1], [1])
     with pytest.raises(ValueError):

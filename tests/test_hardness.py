@@ -290,6 +290,8 @@ def test_arcs_must_orient_own_edges():
     for bad in ([-1], [0.9], [True]):
         with pytest.raises(ValueError):
             white_count_after_blocking(inst.graph, bad, [inst.hub], inst.arcs)
+    with pytest.raises(ValueError):
+        brute_force_edge_blocking(inst.graph, 1, [inst.hub], inst.arcs + 0.5)   # float arcs
 
 
 def test_construction_validation():

@@ -164,8 +164,9 @@ def test_blocked_sets_match_single_budget_calls():
                 ref = np.sort(order[:k])
             assert np.array_equal(ids, ref)
     for strat in ("deg", "community"):
-        with pytest.raises(ValueError):
-            blocked_sets(g, strat, [2, -1], 10, sweep=sweep)
+        for bad in ([2, -1], [2.5], [True]):
+            with pytest.raises(ValueError):
+                blocked_sets(g, strat, bad, 10, sweep=sweep)
 
 
 def test_community_walks_once_for_all_budgets(monkeypatch):
