@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .graph import Graph, checked_ids, csr_index
+from .graph import Graph, checked_count, checked_ids, csr_index
 from .seeding import as_rng, rng_for
 
 # edge states per chunk of masks (rows x max(m, n)); bounds memory only,
@@ -124,11 +124,11 @@ def estimate_spreads(g: Graph, seeds, samples: int, master_seed: int, blocked_se
     (common random numbers), and blocking more edges never raises any
     replicate's spread.  Each chunk of at most ``_CHUNK_ELEMENTS`` edge
     states, split over rows and sets, takes one :func:`reach_counts` call.
-    ValueError on a seed that is not an integer in [0, n) or a blocked id
-    that is not one in [0, m).
+    ValueError on a seed that is not an integer in [0, n), a blocked id
+    that is not one in [0, m), or ``samples`` that is not an integer >= 1
+    (a float or bool count included).
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    samples = checked_count(samples, 1, math.inf, "samples")
     seeds = checked_ids(seeds, g.n, "seed node")
     sets = [checked_ids(b, g.m, "edge id") for b in blocked_sets]
     sums = [[0, 0] for _ in sets]     # per set: sum of counts, of squared counts

@@ -127,9 +127,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("block", help="edge ids blocked by a strategy")
     _add_graph_arg(p)
     p.add_argument("--strategy", required=True, choices=STRATEGIES)
-    p.add_argument("--budget-frac", type=float, default=None,
-                   help="budget as a fraction of m")
-    p.add_argument("--k", type=int, default=None, help="budget as an edge count")
+    budget = p.add_mutually_exclusive_group(required=True)
+    budget.add_argument("--budget-frac", type=float, help="budget as a fraction of m")
+    budget.add_argument("--k", type=int, help="budget as an edge count")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default=None, help="write blocked edges here instead of stdout")
     _add_sweep_args(p)
@@ -225,8 +225,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_block(args) -> int:
-    if (args.k is None) == (args.budget_frac is None):
-        raise UsageError("give exactly one of --k or --budget-frac")
     if args.k is not None and args.k < 0:
         raise UsageError("--k must be >= 0")
     if args.budget_frac is not None and not 0.0 <= args.budget_frac <= 1.0:
@@ -247,7 +245,7 @@ def _cmd_block(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    network = args.network or Path(args.graph).name.split(".")[0]
+    network = Path(args.graph).name.split(".")[0] if args.network is None else args.network
     with _flag_errors():
         cfg = ExperimentConfig(
             network=network,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, checked_ids
+from .graph import Graph, checked_count, checked_ids
 from .seeding import as_rng, rng_for
 
 
@@ -147,10 +147,8 @@ class SweepParams:
             raise ValueError("resolution must be finite and positive")
         if not 1.0 < self.factor < math.inf:
             raise ValueError("factor must be finite and exceed 1")
-        if self.h1 < 1 or self.h2 < 1:
-            raise ValueError("h1 and h2 must be >= 1")
-        if self.budget < 0:
-            raise ValueError("budget must be nonnegative")
+        for name, low in (("h1", 1), ("h2", 1), ("budget", 0)):
+            checked_count(getattr(self, name), low, math.inf, name)
 
 
 def sweep_walk(g: Graph, params: SweepParams, ks, master_seed: int) -> tuple:

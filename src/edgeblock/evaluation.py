@@ -29,7 +29,7 @@ import numpy as np
 from . import strategies as strategies_mod
 from .cascade import estimate_spreads, sample_seed_set
 from .community import SweepParams
-from .graph import Graph
+from .graph import Graph, checked_count
 from .seeding import DEFAULT_SEED, TAG_CASCADE, TAG_SEED_SETS, replicate_seed_bits, rng_for
 
 DEFAULT_BUDGET_FRACTIONS = tuple(i / 100.0 for i in range(1, 21))
@@ -45,7 +45,7 @@ class ExperimentConfig:
     cascade_reps: int = 10
     master_seed: int = DEFAULT_SEED
     sweep: SweepParams = field(default_factory=SweepParams)
-    threads: int = 1
+    threads: int = 1           # worker threads, 0 = one per CPU
 
     def __post_init__(self):
         # the name goes unquoted into file names, CSV fields and SVG text
@@ -57,10 +57,8 @@ class ExperimentConfig:
                 raise ValueError("budget fractions must lie in (0, 1]")
         if not 0.0 < self.seed_fraction <= 1.0:
             raise ValueError("seed fraction must lie in (0, 1]")
-        if self.seed_set_reps < 1 or self.cascade_reps < 1:
-            raise ValueError("repetition counts must be >= 1")
-        if self.threads < 0:
-            raise ValueError("threads must be >= 0 (0 = one per CPU)")
+        for name, low in (("seed_set_reps", 1), ("cascade_reps", 1), ("threads", 0)):
+            checked_count(getattr(self, name), low, math.inf, name)
         for s in self.strategies:
             strategies_mod.strategy_code(s)
         for values in (self.strategies, self.budget_fractions):

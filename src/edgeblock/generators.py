@@ -8,7 +8,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .cascade import is_connected
-from .graph import Graph, from_edge_arrays
+from .graph import Graph, checked_count, from_edge_arrays
 from .seeding import as_rng
 
 
@@ -68,7 +68,7 @@ def with_random_weights(g: Graph, rng) -> Graph:
 MAX_ENUM_NODES = 6
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)    # typed: a float n never hits an int n's entry
 def connected_graphs_upto_iso(n: int) -> list[Graph]:
     """All connected graphs on n nodes, one per isomorphism class.
 
@@ -76,8 +76,7 @@ def connected_graphs_upto_iso(n: int) -> list[Graph]:
     relabelings; exponential, guarded to n <= 6 (143 graphs in total for
     n in 1..6).
     """
-    if not 1 <= n <= MAX_ENUM_NODES:
-        raise ValueError(f"enumeration supports 1 <= n <= {MAX_ENUM_NODES}")
+    n = checked_count(n, 1, MAX_ENUM_NODES, "n")
     pairs = list(combinations(range(n), 2))
     lookup = {p: e for e, p in enumerate(pairs)}
     ecount = len(pairs)

@@ -439,3 +439,11 @@ def checked_ids(ids, bound, what: str) -> np.ndarray:
     if bad.size:
         raise ValueError(f"{what} out of range [0, {bound}): {bad[0]}")
     return arr
+
+
+def checked_count(x, low, high, what: str) -> int:
+    """``x`` as an int; the one rule for every count the library takes in: ValueError
+    naming ``what`` unless ``x`` is a Python or numpy integer, not a bool, in [low, high]."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not low <= x <= high:
+        raise ValueError(f"{what} must be an integer in [{low}, {high}], got {x!r}")
+    return int(x)

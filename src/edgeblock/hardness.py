@@ -40,7 +40,7 @@ import numpy as np
 
 from .cascade import is_connected, reach_counts
 from .generators import MAX_ENUM_NODES, connected_graphs_upto_iso
-from .graph import Graph, from_edge_arrays, girth
+from .graph import Graph, checked_count, from_edge_arrays, girth
 
 _MAX_DS_NODES = 18
 _MAX_BLOCKING_SUBSETS = 5_000_000
@@ -99,9 +99,9 @@ def _hub_expansion(h: Graph, construction: str) -> BlockingInstance:
 
 
 def brute_force_densest_subgraph(h: Graph, k: int) -> BruteForceResult:
-    """Max induced edge count over all k-node subsets, by enumeration."""
-    if not 0 <= k <= h.n:
-        raise ValueError("k must satisfy 0 <= k <= n")
+    """Max induced edge count over all k-node subsets, by enumeration;
+    ValueError unless k is an integer in [0, n] (a float or bool k raises)."""
+    k = checked_count(k, 0, h.n, "k")
     if h.n > _MAX_DS_NODES:
         raise ValueError(f"densest-subgraph enumeration is limited to n <= {_MAX_DS_NODES}")
     bits = [0] * h.n
@@ -180,12 +180,12 @@ def brute_force_edge_blocking(g: Graph, k: int, seeds, arcs=None) -> BruteForceR
     m * ``_BLOCKING_CHUNK`` bytes, the live-edge block, plus O(chunk)
     int64 temporaries, whatever k and C(m, k) are.  Only a strict
     improvement replaces the best, so the witness is the first
-    lexicographic maximizer.
+    lexicographic maximizer.  ValueError unless k is an integer in
+    [0, m]: a float or bool k raises.
     """
     _require_unit_weights(g)
     m = g.m
-    if not 0 <= k <= m:
-        raise ValueError("k must satisfy 0 <= k <= m")
+    k = checked_count(k, 0, m, "k")
     total = math.comb(m, k)
     if total > _MAX_BLOCKING_SUBSETS:
         raise ValueError(
@@ -225,13 +225,11 @@ def verify_reduction(h: Graph, k: int, construction: str = "undirected") -> Redu
 
     Below the girth: densest optimum must equal k - 1.  Otherwise: build
     the hub expansion in the given construction and check
-    densest(H, k) == blocking(G, k, hub) - k.
+    densest(H, k) == blocking(G, k, hub) - k.  ValueError unless k is an
+    integer in [1, n]: a float or bool k raises.
     """
     _check_construction(construction)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > h.n:
-        raise ValueError("k must not exceed the node count")
+    k = checked_count(k, 1, h.n, "k")
     if not is_connected(h):
         raise ValueError("source graph must be connected")
     return _graph_checks(h, [k], construction)[0]
@@ -265,8 +263,7 @@ def sweep_small_instances(max_n: int, construction: str = "undirected") -> list[
     it is where the expansion-mode identity holds on either construction
     (blocking every hub edge isolates the hub)."""
     _check_construction(construction)
-    if max_n not in SWEEP_SIZES:
-        raise ValueError(f"max_n must lie in 2..{MAX_ENUM_NODES}, got {max_n}")
+    max_n = checked_count(max_n, SWEEP_SIZES[0], SWEEP_SIZES[-1], "max_n")
     checks = []
     for n in range(2, max_n + 1):
         for h in connected_graphs_upto_iso(n):

@@ -136,8 +136,9 @@ def test_estimate_empty_seed_set():
 
 
 def test_estimate_rejects_zero_samples():
-    with pytest.raises(ValueError):
-        estimate_spread(P3, [0], 0, master_seed=1)
+    for bad in (0, 2.5, True):
+        with pytest.raises(ValueError):
+            estimate_spread(P3, [0], bad, master_seed=1)
 
 
 def test_estimate_deterministic():

@@ -215,7 +215,7 @@ def test_usage_and_runtime_errors(tmp_path, capsys):
                 ["--strategies", ","], ["--seed-sets", "0"], ["--budgets", "5..3"],
                 ["--budgets", "0.5..5"],
                 *(["--network", name] for name in ("a,b", "a\nb", "a\rb", "../x", "a<b",
-                                                   "a>b", "a&b"))):
+                                                   "a>b", "a&b", ""))):
         assert dispatch(evaluate + bad) == 1, bad
     # a zero budget is caught by the budget parser, before the config sees it
     assert dispatch(evaluate + ["--budgets", "0,5"]) == 1

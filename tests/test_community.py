@@ -130,10 +130,10 @@ def test_sweep_param_validation():
     for bad in (1.0, 0.5, math.nan, math.inf):
         with pytest.raises(ValueError):
             SweepParams(factor=bad)
-    with pytest.raises(ValueError):
-        SweepParams(h1=0)
-    with pytest.raises(ValueError):
-        SweepParams(budget=-1)
+    for bad in (dict(h1=0), dict(h1=1.5), dict(h1=True), dict(h2=2.5), dict(budget=-1),
+                dict(budget=2.5)):
+        with pytest.raises(ValueError):
+            SweepParams(**bad)
 
 
 def test_sweep_contract_randomized():

@@ -54,8 +54,10 @@ def test_budget_to_edge_count():
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(budget_fractions=(0.0,))
-    with pytest.raises(ValueError):
-        ExperimentConfig(seed_set_reps=0)
+    for bad in (dict(seed_set_reps=0), dict(seed_set_reps=2.5), dict(cascade_reps=True),
+                dict(threads=1.5)):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**bad)
     with pytest.raises(ValueError):
         ExperimentConfig(strategies=("nope",))
     with pytest.raises(ValueError):

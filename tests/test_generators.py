@@ -61,5 +61,6 @@ def test_enumerated_graphs_are_connected_and_distinct():
 
 
 def test_enumeration_guard():
-    with pytest.raises(ValueError):
-        connected_graphs_upto_iso(7)
+    for n in (7, 3.0):
+        with pytest.raises(ValueError):
+            connected_graphs_upto_iso(n)

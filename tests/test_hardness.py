@@ -84,8 +84,9 @@ def test_densest_witness_reproduces_value():
 def test_densest_guards():
     with pytest.raises(ValueError):
         brute_force_densest_subgraph(gnm_random_graph(20, 30, 1), 3)
-    with pytest.raises(ValueError):
-        brute_force_densest_subgraph(K4, 5)
+    for k in (5, 2.0, True):
+        with pytest.raises(ValueError):
+            brute_force_densest_subgraph(K4, k)
 
 
 def test_blocking_path_example():
@@ -119,8 +120,8 @@ def test_blocking_guards():
     big = gnm_random_graph(40, 200, 2)
     with pytest.raises(ValueError):
         brute_force_edge_blocking(big, 10, [0])
-    for k in (-1, P3.m + 1):
-        with pytest.raises(ValueError, match="0 <= k <= m"):
+    for k in (-1, P3.m + 1, 2.0, True):
+        with pytest.raises(ValueError, match=rf"k must be an integer in \[0, {P3.m}\]"):
             brute_force_edge_blocking(P3, k, [0])
 
 
@@ -331,10 +332,9 @@ def test_relabeling_leaves_optima_unchanged():
 
 
 def test_verify_validation():
-    with pytest.raises(ValueError):
-        verify_reduction(K3, 0)
-    with pytest.raises(ValueError):
-        verify_reduction(K3, 4)
+    for k in (0, 4, 2.0, True):
+        with pytest.raises(ValueError):
+            verify_reduction(K3, k)
 
 
 def test_verify_requires_connected_source():
@@ -369,7 +369,7 @@ def test_sweep_size_rejected_before_any_check(monkeypatch):
     calls = []
     real = hardness_mod._graph_checks
     monkeypatch.setattr(hardness_mod, "_graph_checks", lambda *a: calls.append(a) or real(*a))
-    for max_n in (7, 1, 0):
+    for max_n in (7, 1, 0, 3.0):
         with pytest.raises(ValueError):
             sweep_small_instances(max_n)
     assert calls == []
