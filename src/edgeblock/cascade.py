@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .graph import Graph, checked_count, checked_ids, csr_index
+from .graph import Graph, checked_count, checked_ids, checked_real, csr_index
 from .seeding import as_rng, rng_for
 
 # edge states per chunk of masks (rows x max(m, n)); bounds memory only,
@@ -155,9 +155,9 @@ def estimate_spreads(g: Graph, seeds, samples: int, master_seed: int, blocked_se
 
 
 def sample_seed_set(g: Graph, fraction: float, rng) -> np.ndarray:
-    """Uniform seed set of size max(1, round(fraction * n)): sorted int64 node ids."""
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("fraction must lie in (0, 1]")
+    """Uniform seed set of size max(1, round(fraction * n)): sorted int64 node ids;
+    ValueError unless ``fraction`` is a number in (0, 1], not a bool or a string."""
+    fraction = checked_real(fraction, 0, 1, "fraction")
     rng = as_rng(rng)
     size = min(max(1, round(fraction * g.n)), g.n)
     return np.sort(rng.choice(g.n, size=size, replace=False))

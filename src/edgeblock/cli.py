@@ -30,13 +30,15 @@ from .evaluation import (
 from .graph import (
     Graph,
     assign_jaccard_weights,
+    checked_count,
+    checked_real,
     graph_stats,
     label_of_token,
     parse_edge_list,
     write_edge_list,
 )
 from .hardness import CONSTRUCTIONS, SWEEP_SIZES, sweep_small_instances, verify_reduction
-from .seeding import DEFAULT_SEED, TAG_SIMULATE_SEEDS, rng_for
+from .seeding import DEFAULT_SEED, TAG_SIMULATE_SEEDS, checked_seed, rng_for
 from .strategies import STRATEGIES, blocked_edges
 
 
@@ -44,12 +46,12 @@ EXIT_CHECK_FAILED = 3
 
 
 class UsageError(Exception):
-    pass
+    """A bad flag (exit 1); an argparse error carries the usage of the parser that failed."""
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise UsageError(f"{message}\n{self.format_usage().rstrip()}")
 
 
 @contextlib.contextmanager
@@ -86,19 +88,10 @@ def _parse_budgets(text: str):
     text = text.strip()
     if ".." in text:
         lo, hi = (int(t.strip().removesuffix("%")) for t in text.split("..", 1))
-        if not 1 <= lo <= hi <= 100:
-            raise ValueError(f"bad budget range {text!r}")
         return tuple(i / 100.0 for i in range(lo, hi + 1))
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        val = float(tok.removesuffix("%"))
-        if tok.endswith("%") or val >= 1.0:
-            val /= 100.0
-        if not 0.0 < val <= 1.0:
-            raise ValueError(f"bad budget {tok!r}")
-        out.append(val)
-    return tuple(out)
+    toks = [t.strip() for t in text.split(",")]
+    vals = [float(t.removesuffix("%")) for t in toks]
+    return tuple(v / 100 if t.endswith("%") or v >= 1 else v for t, v in zip(toks, vals))
 
 
 def build_parser() -> _Parser:
@@ -205,15 +198,15 @@ def _cmd_weights(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.samples < 1:
-        raise UsageError("--samples must be >= 1")
-    if not 0.0 < args.seed_fraction <= 1.0:
-        raise UsageError("--seed-fraction must lie in (0, 1]")
+    with _flag_errors():
+        checked_count(args.samples, 1, math.inf, "--samples")
+        checked_real(args.seed_fraction, 0, 1, "--seed-fraction")
+        checked_seed(args.seed)
     g = _load_graph(args)
     if args.seed_nodes is not None:
         keys = [label_of_token(t.strip()) for t in args.seed_nodes.split(",")]
         index = {label: v for v, label in enumerate(g.labels)}
-        unknown = [str(t) for t in keys if t not in index]
+        unknown = [repr(t) for t in keys if t not in index]
         if unknown:
             raise UsageError(f"unknown seed node label(s): {', '.join(unknown)}")
         seeds = np.unique([index[t] for t in keys])
@@ -225,11 +218,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_block(args) -> int:
-    if args.k is not None and args.k < 0:
-        raise UsageError("--k must be >= 0")
     if args.budget_frac is not None and not 0.0 <= args.budget_frac <= 1.0:
         raise UsageError("--budget-frac must lie in [0, 1]")
     with _flag_errors():
+        if args.k is not None:
+            checked_count(args.k, 0, math.inf, "--k")
+        checked_seed(args.seed)
         sweep = _sweep_from_args(args)
     g = _load_graph(args)
     k = args.k if args.k is not None else budget_to_edge_count(args.budget_frac, g.m)
@@ -315,17 +309,11 @@ _COMMANDS = {
 
 
 def dispatch(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
-        return 1
+        args = build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:      # --help / --version
         return 0 if exc.code in (0, None) else 1
-    try:
-        return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, checked_count, checked_ids
+from .graph import Graph, checked_count, checked_ids, checked_real
 from .seeding import as_rng, rng_for
 
 
@@ -104,10 +104,10 @@ def louvain_partition(g: Graph, resolution: float, rng, *, level0=None) -> np.nd
     The node visit order at every level is a fresh shuffle from ``rng``,
     so distinct seeds explore distinct local optima while a fixed seed is
     fully reproducible.  ``level0`` is g's :func:`_level0`, shared by the
-    runs of one walk; built here when absent.
+    runs of one walk; built here when absent.  ValueError when ``resolution``
+    is not a finite number in (0, inf) or is a bool (``graph.checked_real``).
     """
-    if not 0.0 < resolution < math.inf:
-        raise ValueError("resolution must be finite and positive")
+    gamma = checked_real(resolution, 0, math.inf, "resolution")
     rng = as_rng(rng)
     if g.m == 0:
         return np.arange(g.n, dtype=np.int64)
@@ -116,7 +116,7 @@ def louvain_partition(g: Graph, resolution: float, rng, *, level0=None) -> np.nd
     mapping = range(g.n)
     while True:
         order = rng.permutation(len(adj)).tolist()
-        labels = _local_moving(adj, node_k, order, float(resolution), two_m)
+        labels = _local_moving(adj, node_k, order, gamma, two_m)
         nc = max(labels) + 1
         mapping = [labels[c] for c in mapping]
         if nc == len(adj) or nc == 1:
@@ -143,10 +143,8 @@ class SweepParams:
     budget: int = 0              # max edges to block
 
     def __post_init__(self):
-        if not 0.0 < self.resolution < math.inf:
-            raise ValueError("resolution must be finite and positive")
-        if not 1.0 < self.factor < math.inf:
-            raise ValueError("factor must be finite and exceed 1")
+        checked_real(self.resolution, 0, math.inf, "resolution")
+        checked_real(self.factor, 1, math.inf, "factor")
         for name, low in (("h1", 1), ("h2", 1), ("budget", 0)):
             checked_count(getattr(self, name), low, math.inf, name)
 

@@ -29,8 +29,9 @@ import numpy as np
 from . import strategies as strategies_mod
 from .cascade import estimate_spreads, sample_seed_set
 from .community import SweepParams
-from .graph import Graph, checked_count
-from .seeding import DEFAULT_SEED, TAG_CASCADE, TAG_SEED_SETS, replicate_seed_bits, rng_for
+from .graph import Graph, checked_count, checked_real
+from .seeding import (DEFAULT_SEED, TAG_CASCADE, TAG_SEED_SETS, checked_seed,
+                      replicate_seed_bits, rng_for)
 
 DEFAULT_BUDGET_FRACTIONS = tuple(i / 100.0 for i in range(1, 21))
 
@@ -53,10 +54,9 @@ class ExperimentConfig:
             raise ValueError(f"network name {self.network!r} may not be empty or contain "
                              ", / < > & or a line break")
         for f in self.budget_fractions:
-            if not 0.0 < f <= 1.0:
-                raise ValueError("budget fractions must lie in (0, 1]")
-        if not 0.0 < self.seed_fraction <= 1.0:
-            raise ValueError("seed fraction must lie in (0, 1]")
+            checked_real(f, 0, 1, "budget fraction")
+        checked_real(self.seed_fraction, 0, 1, "seed fraction")
+        checked_seed(self.master_seed)
         for name, low in (("seed_set_reps", 1), ("cascade_reps", 1), ("threads", 0)):
             checked_count(getattr(self, name), low, math.inf, name)
         for s in self.strategies:

@@ -99,14 +99,14 @@ def csr_index(n, rows, cols):
 
 
 def _checked_weights(w, m) -> np.ndarray:
-    """w as float64; ValueError unless it holds one weight per edge, each in
-    (0, 1], which NaN is not."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (m,):
-        raise ValueError("weight array must have one entry per edge")
+    """w as float64; ValueError unless it holds one integer or float weight
+    (not a bool or a string) per edge, each in (0, 1], which NaN is not."""
+    w = np.asarray(w)
+    if w.dtype.kind not in "iuf" or w.shape != (m,):
+        raise ValueError(f"need one int or float weight per edge, got {w.dtype} {w.shape}")
     if not np.all((w > 0.0) & (w <= 1.0)):
         raise ValueError("edge weights must lie in (0, 1]")
-    return w
+    return w.astype(np.float64, copy=False)
 
 
 def from_edge_arrays(n, eu, ev, w=None, labels=None) -> Graph:
@@ -447,3 +447,12 @@ def checked_count(x, low, high, what: str) -> int:
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not low <= x <= high:
         raise ValueError(f"{what} must be an integer in [{low}, {high}], got {x!r}")
     return int(x)
+
+
+def checked_real(x, low, high, what: str) -> float:
+    """``x`` as a float; the one rule for every real taken in: ValueError naming ``what``
+    unless ``x`` is a finite Python or numpy int or float, not a bool, in (low, high]."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)) \
+            or not (low < x <= high and math.isfinite(x)):
+        raise ValueError(f"{what} must be a finite number in ({low}, {high}], got {x!r}")
+    return float(x)

@@ -7,6 +7,8 @@ results never depend on execution order or worker scheduling.
 
 import numpy as np
 
+from .graph import checked_count
+
 DEFAULT_SEED = 42
 
 # stream tags: first coordinate after the master seed; the numbers are part
@@ -20,9 +22,15 @@ TAG_SWEEP = 5
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
+def checked_seed(master_seed) -> int:
+    """The one master-seed rule: ``master_seed`` as an int; ValueError unless checked_count
+    finds an integer in [-2**63, 2**64 - 1], so that no int64 or uint64 seed is truncated."""
+    return checked_count(master_seed, -2**63, _MASK64, "master seed")
+
+
 def seed_sequence(master_seed, *coords):
-    """SeedSequence keyed by (master_seed, *coords)."""
-    entropy = [int(master_seed) & _MASK64] + [int(c) for c in coords]
+    """SeedSequence keyed by (master_seed, *coords); ValueError if checked_seed rejects it."""
+    entropy = [checked_seed(master_seed) & _MASK64] + [int(c) for c in coords]
     return np.random.SeedSequence(entropy=entropy)
 
 
@@ -32,12 +40,8 @@ def rng_for(master_seed, *coords):
 
 
 def as_rng(rng) -> np.random.Generator:
-    """``rng`` itself when it is a Generator, else the stream keyed by the integer ``rng``."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    if isinstance(rng, (int, np.integer)):
-        return rng_for(rng)
-    raise ValueError("expected a numpy Generator or an integer seed")
+    """``rng`` if a Generator, else ``rng_for(rng)``: ValueError unless checked_seed takes it."""
+    return rng if isinstance(rng, np.random.Generator) else rng_for(rng)
 
 
 def replicate_seed_bits(master_seed, *coords, count):

@@ -275,8 +275,9 @@ def test_sample_seed_set_sizes():
     assert sample_seed_set(g5, 1.0, 1).size == 5
     with pytest.raises(ValueError):
         sample_seed_set(g5, 0.0, 1)
-    with pytest.raises(ValueError):
-        sample_seed_set(g5, 1.5, 1)
+    for bad in (1.5, True, "0.5"):
+        with pytest.raises(ValueError):
+            sample_seed_set(g5, bad, 1)
 
 
 def test_seed_validation():

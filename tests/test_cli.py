@@ -74,6 +74,10 @@ def test_simulate_seed_nodes_are_file_labels(tmp_path, monkeypatch, capsys):
         "seeds=1", "seeds=2", "seeds=2"]
     assert dispatch(["simulate", "--graph", str(p), "--seed-nodes", "2"]) == 1
     assert "unknown seed node" in capsys.readouterr().err
+    # an empty token is named too
+    for nodes in ("", "10,,20"):
+        assert dispatch(["simulate", "--graph", str(p), "--seed-nodes", nodes]) == 1
+        assert "unknown seed node label(s): ''" in capsys.readouterr().err
 
 
 def test_block_zero_budget(path3, capsys):
@@ -99,6 +103,7 @@ def test_block_community_stops_at_non_finite_resolution(planted, capsys):
 
 def test_block_requires_one_budget_form(path3, capsys):
     assert dispatch(["block", "--graph", path3, "--strategy", "hwt"]) == 1
+    assert "usage: edgeblock block" in capsys.readouterr().err
     assert dispatch(["block", "--graph", path3, "--strategy", "hwt",
                      "--k", "1", "--budget-frac", "0.5"]) == 1
 
@@ -217,9 +222,10 @@ def test_usage_and_runtime_errors(tmp_path, capsys):
                 *(["--network", name] for name in ("a,b", "a\nb", "a\rb", "../x", "a<b",
                                                    "a>b", "a&b", ""))):
         assert dispatch(evaluate + bad) == 1, bad
-    # a zero budget is caught by the budget parser, before the config sees it
+    # a zero budget is caught by the config's real rule, before the graph is read
     assert dispatch(evaluate + ["--budgets", "0,5"]) == 1
-    assert "bad budget '0'" in capsys.readouterr().err
+    assert "budget fraction must be a finite number in (0, 1], got 0.0" in capsys.readouterr().err
+    assert dispatch(evaluate + ["--seed", "18446744073709551616"]) == 1
     sweep = (["--resolution", "nan"], ["--resolution", "inf"], ["--resolution", "0"],
              ["--factor", "nan"], ["--factor", "inf"], ["--factor", "1"])
     for bad in sweep:

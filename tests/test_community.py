@@ -122,7 +122,7 @@ def test_sweep_guard_paths():
 
 
 def test_sweep_param_validation():
-    for bad in (0.0, -1.0, math.nan, math.inf):
+    for bad in (0.0, -1.0, math.nan, math.inf, True, "1"):
         with pytest.raises(ValueError):
             SweepParams(resolution=bad)
         with pytest.raises(ValueError):

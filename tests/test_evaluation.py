@@ -74,9 +74,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(sweep=SweepParams(budget=5))
     ExperimentConfig(sweep=SweepParams(resolution=0.05, h1=2))
-    for bad in (0.0, -0.1, 1.5):
+    for bad in (0.0, -0.1, 1.5, True, "0.5"):
         with pytest.raises(ValueError):
             ExperimentConfig(seed_fraction=bad)
+    # no float, bool or string seed is truncated, no seed past uint64 masked,
+    # and no bool read as the fraction 1
+    for bad in (dict(master_seed=1.5), dict(master_seed=True), dict(master_seed="1"),
+                dict(master_seed=2**64), dict(budget_fractions=(True,))):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**bad)
     ExperimentConfig(seed_fraction=1.0, threads=0)
 
 

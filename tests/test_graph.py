@@ -164,6 +164,12 @@ def test_nan_weights_rejected():
         from_edge_arrays(3, [0, 1], [1, 2], [math.nan, 0.5])
     with pytest.raises(ValueError, match=r"\(0, 1\]"):
         P3.with_weights([math.nan, 1.0])
+    # bool and string weights are not read as numbers
+    for bad in ([True, True], ["0.5", "0.5"], [True, "0.5"]):
+        with pytest.raises(ValueError, match="int or float weight"):
+            from_edge_arrays(3, [0, 1], [1, 2], bad)
+        with pytest.raises(ValueError, match="int or float weight"):
+            P3.with_weights(bad)
 
 
 def test_with_weights_shares_structure():

@@ -1,6 +1,8 @@
 import numpy as np
 
-from edgeblock.seeding import replicate_seed_bits, rng_for, seed_sequence
+import pytest
+
+from edgeblock.seeding import as_rng, replicate_seed_bits, rng_for, seed_sequence
 
 
 def test_streams_distinct_by_coordinates():
@@ -24,6 +26,14 @@ def test_replicate_bits_stable_prefix():
 
 
 def test_masked_master_seed():
-    # full 64-bit seeds are accepted
+    # full 64-bit seeds are accepted, and so are negative int64 ones, which
+    # replicate_seed_bits hands out as uint64 bit patterns
     s = seed_sequence(2**64 - 1, 0)
     assert s.generate_state(1).shape == (1,)
+    assert seed_sequence(-2**63, 0).generate_state(1).shape == (1,)
+    # nothing past either end is masked, and no float, bool or string truncated
+    for bad in (2**64, -2**63 - 1, 1.5, True, "1"):
+        with pytest.raises(ValueError, match="master seed"):
+            seed_sequence(bad, 0)
+    with pytest.raises(ValueError, match="master seed"):
+        as_rng(True)
