@@ -32,6 +32,7 @@ from .graph import (
     assign_jaccard_weights,
     checked_count,
     checked_real,
+    checked_unit_real,
     graph_stats,
     label_of_token,
     parse_edge_list,
@@ -46,7 +47,7 @@ EXIT_CHECK_FAILED = 3
 
 
 class UsageError(Exception):
-    """A bad flag (exit 1); an argparse error carries the usage of the parser that failed."""
+    """A bad flag (exit 1); _Parser.error raises it with the usage of the parser that failed."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,12 +56,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 @contextlib.contextmanager
-def _flag_errors():
-    """Report a ValueError raised while checking flags as a usage error."""
+def _flag_errors(args):
+    """Report a ValueError raised while checking flags as a usage error of args' subcommand."""
     try:
         yield
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        args.parser.error(str(exc))
 
 
 def _add_graph_arg(p):
@@ -158,6 +159,8 @@ def build_parser() -> _Parser:
     p.add_argument("--construction", choices=CONSTRUCTIONS, default="undirected",
                    help="hub expansion: every edge conducts both ways, or only away "
                         "from the hub (default: %(default)s)")
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -198,7 +201,7 @@ def _cmd_weights(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    with _flag_errors():
+    with _flag_errors(args):
         checked_count(args.samples, 1, math.inf, "--samples")
         checked_real(args.seed_fraction, 0, 1, "--seed-fraction")
         checked_seed(args.seed)
@@ -208,7 +211,7 @@ def _cmd_simulate(args) -> int:
         index = {label: v for v, label in enumerate(g.labels)}
         unknown = [repr(t) for t in keys if t not in index]
         if unknown:
-            raise UsageError(f"unknown seed node label(s): {', '.join(unknown)}")
+            args.parser.error(f"unknown seed node label(s): {', '.join(unknown)}")
         seeds = np.unique([index[t] for t in keys])
     else:
         seeds = sample_seed_set(g, args.seed_fraction, rng_for(args.seed, TAG_SIMULATE_SEEDS))
@@ -218,10 +221,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_block(args) -> int:
-    if args.budget_frac is not None and not 0.0 <= args.budget_frac <= 1.0:
-        raise UsageError("--budget-frac must lie in [0, 1]")
-    with _flag_errors():
-        if args.k is not None:
+    with _flag_errors(args):
+        if args.k is None:
+            checked_unit_real(args.budget_frac, "--budget-frac")
+        else:
             checked_count(args.k, 0, math.inf, "--k")
         checked_seed(args.seed)
         sweep = _sweep_from_args(args)
@@ -240,7 +243,7 @@ def _cmd_block(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     network = Path(args.graph).name.split(".")[0] if args.network is None else args.network
-    with _flag_errors():
+    with _flag_errors(args):
         cfg = ExperimentConfig(
             network=network,
             strategies=tuple(t.strip() for t in args.strategies.split(",") if t.strip()),
@@ -278,11 +281,11 @@ def _print_check(check) -> None:
 
 def _cmd_hardness(args) -> int:
     if args.graph is None and args.sweep_all_small is None:
-        raise UsageError("give --graph with --k, or --sweep-all-small N")
+        args.parser.error("give --graph with --k, or --sweep-all-small N")
     if args.graph is not None and (args.k is None or args.k < 1):
-        raise UsageError("--graph needs --k >= 1")
+        args.parser.error("--graph needs --k >= 1")
     if args.graph is None and args.k is not None:
-        raise UsageError("--k needs --graph")
+        args.parser.error("--k needs --graph")
     failed = 0
     if args.sweep_all_small is not None:
         checks = sweep_small_instances(args.sweep_all_small, args.construction)
@@ -314,12 +317,9 @@ def dispatch(argv) -> int:
         return _COMMANDS[args.command](args)
     except SystemExit as exc:      # --help / --version
         return 0 if exc.code in (0, None) else 1
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, UsageError) else 2
 
 
 def main() -> None:

@@ -1,4 +1,4 @@
-"""Graph generators for experiments and randomized testing."""
+"""Graph generators: seeded planted partitions and small-graph enumeration."""
 
 from __future__ import annotations
 
@@ -8,12 +8,18 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .cascade import is_connected
-from .graph import Graph, checked_count, from_edge_arrays
+from .graph import Graph, checked_count, checked_unit_real, from_edge_arrays
 from .seeding import as_rng
 
 
 def planted_partition(n_blocks: int, block_size: int, p_intra: float, p_inter: float, rng) -> Graph:
-    """Planted-partition graph: Bernoulli edges, dense inside blocks."""
+    """Planted partition: n_blocks blocks of block_size consecutive nodes, each node pair an
+    edge with probability p_intra inside a block, p_inter across.  ValueError naming the argument
+    unless both counts are integers >= 1 and both probabilities numbers in [0, 1], not bools."""
+    n_blocks = checked_count(n_blocks, 1, np.inf, "n_blocks")
+    block_size = checked_count(block_size, 1, np.inf, "block_size")
+    p_intra = checked_unit_real(p_intra, "p_intra")
+    p_inter = checked_unit_real(p_inter, "p_inter")
     rng = as_rng(rng)
     n = n_blocks * block_size
     iu, jv = np.triu_indices(n, k=1)
@@ -21,44 +27,6 @@ def planted_partition(n_blocks: int, block_size: int, p_intra: float, p_inter: f
     p = np.where(same, p_intra, p_inter)
     keep = rng.random(iu.shape[0]) < p
     return from_edge_arrays(n, iu[keep], jv[keep])
-
-
-def gnm_random_graph(n: int, m: int, rng) -> Graph:
-    """Uniform graph with exactly m edges (m <= C(n, 2))."""
-    rng = as_rng(rng)
-    iu, jv = np.triu_indices(n, k=1)
-    if m > iu.shape[0]:
-        raise ValueError("too many edges requested")
-    idx = np.sort(rng.choice(iu.shape[0], size=m, replace=False))
-    return from_edge_arrays(n, iu[idx], jv[idx])
-
-
-def random_connected_graph(n: int, extra_edges: int, rng) -> Graph:
-    """Random tree by sequential attachment plus extra distinct edges."""
-    rng = as_rng(rng)
-    edges = {(int(rng.integers(0, i)), i) for i in range(1, n)}
-    ncomb = n * (n - 1) // 2
-    extra_edges = min(extra_edges, ncomb - len(edges))
-    while extra_edges > 0:
-        i = int(rng.integers(0, n))
-        j = int(rng.integers(0, n))
-        if i == j:
-            continue
-        key = (min(i, j), max(i, j))
-        if key in edges:
-            continue
-        edges.add(key)
-        extra_edges -= 1
-    if not edges:
-        return from_edge_arrays(n, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-    eu, ev = zip(*sorted(edges))
-    return from_edge_arrays(n, np.array(eu), np.array(ev))
-
-
-def with_random_weights(g: Graph, rng) -> Graph:
-    """Uniform weights in (0, 1]."""
-    rng = as_rng(rng)
-    return g.with_weights(1.0 - rng.random(g.m))
 
 
 # ---------------------------------------------------------------------------

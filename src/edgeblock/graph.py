@@ -17,10 +17,12 @@ query, ``cascade.is_connected``, on the one spread primitive.
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import io
 import logging
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -258,17 +260,12 @@ def write_edge_list(g: Graph, sink) -> None:
     """
     if g.labels is not None:
         _check_writable_labels(g.labels)
-    own = isinstance(sink, (str, Path))
-    fh = open(sink, "w") if own else sink
-    try:
+    with open(sink, "w") if isinstance(sink, (str, Path)) else contextlib.nullcontext(sink) as fh:
         fh.write(f"# nodes {g.n} edges {g.m}\n")
         for e in range(g.m):
             lu = g.label_of(int(g.eu[e]))
             lv = g.label_of(int(g.ev[e]))
             fh.write(f"{lu} {lv} {_format_weight(float(g.w[e]))}\n")
-    finally:
-        if own:
-            fh.close()
 
 
 # ---------------------------------------------------------------------------
@@ -449,10 +446,24 @@ def checked_count(x, low, high, what: str) -> int:
     return int(x)
 
 
+def _real(x) -> float:
+    """float(x) for a non-bool Python or numpy int or float (inf past the float range), else NaN."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+        return math.nan
+    return math.inf if isinstance(x, int) and abs(x) > sys.float_info.max else float(x)
+
+
 def checked_real(x, low, high, what: str) -> float:
     """``x`` as a float; the one rule for every real taken in: ValueError naming ``what``
     unless ``x`` is a finite Python or numpy int or float, not a bool, in (low, high]."""
-    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)) \
-            or not (low < x <= high and math.isfinite(x)):
+    f = _real(x)
+    if not (low < f <= high and math.isfinite(f)):
         raise ValueError(f"{what} must be a finite number in ({low}, {high}], got {x!r}")
-    return float(x)
+    return f
+
+
+def checked_unit_real(x, what: str) -> float:
+    """checked_real's rule closed at 0, for a probability or fraction that may be 0 or 1."""
+    if not 0.0 <= (f := _real(x)) <= 1.0:
+        raise ValueError(f"{what} must be a number in [0, 1], got {x!r}")
+    return f

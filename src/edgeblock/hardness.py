@@ -119,11 +119,6 @@ def brute_force_densest_subgraph(h: Graph, k: int) -> BruteForceResult:
     return BruteForceResult(best, witness)
 
 
-def _require_unit_weights(g: Graph) -> None:
-    if g.m and not np.all(g.w == 1.0):
-        raise ValueError("edge-blocking optima require unit weights")
-
-
 def _binomial_table(m: int, k: int) -> np.ndarray:
     """int64[k + 1, m - k + 1] with entry [i, t] = C(i - 1 + t, i).
 
@@ -183,7 +178,8 @@ def brute_force_edge_blocking(g: Graph, k: int, seeds, arcs=None) -> BruteForceR
     lexicographic maximizer.  ValueError unless k is an integer in
     [0, m]: a float or bool k raises.
     """
-    _require_unit_weights(g)
+    if g.m and not np.all(g.w == 1.0):
+        raise ValueError("edge-blocking optima require unit weights")
     m = g.m
     k = checked_count(k, 0, m, "k")
     total = math.comb(m, k)

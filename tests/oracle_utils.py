@@ -4,12 +4,12 @@ The oracles recompute quantities from first principles (path
 enumeration, triple loops, dense linear algebra, exhaustive partitions,
 the cascade's round-by-round states) and stay independent of the
 library's own algorithms.  The helpers section after them holds graph
-surgery, modularity, the aggregates CSV reader and the exact spreads,
-which only the tests use; those deliberately call the library's
-``reach_counts`` and ``from_edge_arrays``, so the exact spreads exercise
-the one spread primitive rather than a second reachability.  The last
-section keeps the array kernels that the library's sequential helpers
-replaced, as bit-identity references.
+surgery, modularity, the aggregates CSV reader, the exact spreads and
+the random test graphs, which only the tests use; those deliberately
+call the library's ``reach_counts`` and ``from_edge_arrays``, so the
+exact spreads exercise the one spread primitive rather than a second
+reachability.  The last section keeps the array kernels that the
+library's sequential helpers replaced, as bit-identity references.
 """
 
 import functools
@@ -21,7 +21,8 @@ import numpy as np
 
 from edgeblock.cascade import reach_counts
 from edgeblock.evaluation import AGGREGATE_HEADER
-from edgeblock.graph import checked_ids, from_edge_arrays
+from edgeblock.graph import Graph, checked_ids, from_edge_arrays
+from edgeblock.seeding import as_rng
 
 
 def brute_triangles(g):
@@ -417,6 +418,46 @@ def enumerate_spread_exact(g, seeds):
         prob = np.where(live, g.w, 1.0 - g.w).prod(axis=1)
         total += float(prob @ reach_counts(g, live.T, seeds))
     return total
+
+
+# random test graphs, seeded through the library's as_rng
+
+def gnm_random_graph(n: int, m: int, rng) -> Graph:
+    """Uniform graph with exactly m edges (m <= C(n, 2))."""
+    rng = as_rng(rng)
+    iu, jv = np.triu_indices(n, k=1)
+    if m > iu.shape[0]:
+        raise ValueError("too many edges requested")
+    idx = np.sort(rng.choice(iu.shape[0], size=m, replace=False))
+    return from_edge_arrays(n, iu[idx], jv[idx])
+
+
+def random_connected_graph(n: int, extra_edges: int, rng) -> Graph:
+    """Random tree by sequential attachment plus extra distinct edges."""
+    rng = as_rng(rng)
+    edges = {(int(rng.integers(0, i)), i) for i in range(1, n)}
+    ncomb = n * (n - 1) // 2
+    extra_edges = min(extra_edges, ncomb - len(edges))
+    while extra_edges > 0:
+        i = int(rng.integers(0, n))
+        j = int(rng.integers(0, n))
+        if i == j:
+            continue
+        key = (min(i, j), max(i, j))
+        if key in edges:
+            continue
+        edges.add(key)
+        extra_edges -= 1
+    if not edges:
+        return from_edge_arrays(n, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    eu, ev = zip(*sorted(edges))
+    return from_edge_arrays(n, np.array(eu), np.array(ev))
+
+
+def with_random_weights(g: Graph, rng) -> Graph:
+    """Uniform weights in (0, 1]."""
+    rng = as_rng(rng)
+    return g.with_weights(1.0 - rng.random(g.m))
 
 
 # ---------------------------------------------------------------------------

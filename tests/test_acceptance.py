@@ -17,15 +17,16 @@ import edgeblock as eb
 from edgeblock.cli import dispatch
 from edgeblock.community import SweepParams, resolution_sweep, sweep_walk
 from edgeblock.evaluation import ExperimentConfig, run_experiment
-from edgeblock.generators import (
-    connected_graphs_upto_iso,
+from edgeblock.generators import connected_graphs_upto_iso, planted_partition
+from edgeblock.graph import write_edge_list
+from oracle_utils import (
+    enumerate_spread_exact,
+    exact_spread_unit_weights,
     gnm_random_graph,
-    planted_partition,
     random_connected_graph,
+    remove_edges,
     with_random_weights,
 )
-from edgeblock.graph import write_edge_list
-from oracle_utils import enumerate_spread_exact, exact_spread_unit_weights, remove_edges
 
 
 def _report(num, name, ok, extra=""):

@@ -11,12 +11,7 @@ from edgeblock.cascade import (
     reach_counts,
     sample_seed_set,
 )
-from edgeblock.generators import (
-    connected_graphs_upto_iso,
-    gnm_random_graph,
-    random_connected_graph,
-    with_random_weights,
-)
+from edgeblock.generators import connected_graphs_upto_iso
 from edgeblock.graph import checked_ids, from_edge_arrays
 from edgeblock.hardness import expand_to_blocking_instance
 from edgeblock.seeding import rng_for
@@ -24,8 +19,11 @@ from oracle_utils import (
     brute_expected_spread,
     enumerate_spread_exact,
     exact_spread_unit_weights,
+    gnm_random_graph,
+    random_connected_graph,
     remove_edges,
     round_model_expected_spread,
+    with_random_weights,
 )
 
 P3 = from_edge_arrays(3, [0, 1], [1, 2])

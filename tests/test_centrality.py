@@ -8,14 +8,15 @@ from edgeblock.centrality import (
     node_closeness,
     node_pagerank,
 )
-from edgeblock.generators import gnm_random_graph, with_random_weights
 from edgeblock.graph import from_edge_arrays, row_blocks
 from oracle_utils import (
     brute_edge_betweenness,
     dense_pagerank,
     dijkstra_closeness,
     edge_betweenness_weighted,
+    gnm_random_graph,
     heap_dijkstra,
+    with_random_weights,
 )
 
 P3 = from_edge_arrays(3, [0, 1], [1, 2])

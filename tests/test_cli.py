@@ -106,6 +106,12 @@ def test_block_requires_one_budget_form(path3, capsys):
     assert "usage: edgeblock block" in capsys.readouterr().err
     assert dispatch(["block", "--graph", path3, "--strategy", "hwt",
                      "--k", "1", "--budget-frac", "0.5"]) == 1
+    # a flag that fails its rule prints the subcommand's usage too
+    capsys.readouterr()
+    assert dispatch(["block", "--graph", path3, "--strategy", "hwt", "--budget-frac", "1.5"]) == 1
+    err = capsys.readouterr().err
+    assert "--budget-frac must be a number in [0, 1], got 1.5" in err
+    assert "usage: edgeblock block" in err
 
 
 def test_simulate_output(path3, capsys):
@@ -231,6 +237,7 @@ def test_usage_and_runtime_errors(tmp_path, capsys):
     for bad in sweep:
         assert dispatch(evaluate + bad) == 1, bad
     for bad in (["--k", "-1"], ["--k", "2", "--h1", "0"], ["--budget-frac", "2"],
+                ["--budget-frac", "nan"], ["--budget-frac", "-0.5"],
                 *(["--k", "20", *flags] for flags in sweep)):
         assert dispatch(["block", *missing, "--strategy", "community", *bad]) == 1, bad
     for bad in (["--samples", "0"], ["--seed-fraction", "0"]):

@@ -12,11 +12,17 @@ from edgeblock.community import (
     resolution_sweep,
     sweep_walk,
 )
-from edgeblock.generators import gnm_random_graph, planted_partition, random_connected_graph
+from edgeblock.generators import planted_partition
 from edgeblock.graph import from_edge_arrays
 from edgeblock.seeding import rng_for
 from edgeblock.strategies import blocked_sets
-from oracle_utils import best_modularity_exhaustive, modularity, resolution_sweep_reference
+from oracle_utils import (
+    best_modularity_exhaustive,
+    gnm_random_graph,
+    modularity,
+    random_connected_graph,
+    resolution_sweep_reference,
+)
 
 # two triangles joined by one bridge: nodes 0-2 and 3-5, bridge (2, 3)
 TT = from_edge_arrays(6, [0, 0, 1, 2, 3, 3, 4], [1, 2, 2, 3, 4, 5, 5])
@@ -122,7 +128,8 @@ def test_sweep_guard_paths():
 
 
 def test_sweep_param_validation():
-    for bad in (0.0, -1.0, math.nan, math.inf, True, "1"):
+    # 10**400 is past the float range, where float() overflows
+    for bad in (0.0, -1.0, math.nan, math.inf, True, "1", 10**400):
         with pytest.raises(ValueError):
             SweepParams(resolution=bad)
         with pytest.raises(ValueError):

@@ -15,11 +15,11 @@ from edgeblock.evaluation import (
     export_svg,
     run_experiment,
 )
-from edgeblock.generators import planted_partition, with_random_weights
+from edgeblock.generators import planted_partition
 from edgeblock.graph import from_edge_arrays
 from edgeblock.seeding import TAG_CASCADE, TAG_SEED_SETS, replicate_seed_bits, rng_for
 from edgeblock.strategies import blocked_edges
-from oracle_utils import load_aggregate_csv
+from oracle_utils import load_aggregate_csv, with_random_weights
 
 P3 = from_edge_arrays(3, [0, 1], [1, 2])
 

@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
-from edgeblock.generators import (
-    MAX_ENUM_NODES,
-    connected_graphs_upto_iso,
-    gnm_random_graph,
-    planted_partition,
-    random_connected_graph,
-    with_random_weights,
-)
+from edgeblock.generators import MAX_ENUM_NODES, connected_graphs_upto_iso, planted_partition
 from edgeblock.graph import graph_stats
+from oracle_utils import gnm_random_graph, random_connected_graph, with_random_weights
 
 
 def test_gnm_exact_edge_count():
@@ -34,6 +28,17 @@ def test_planted_partition_shape():
     # dense blocks, sparse between them
     assert same.sum() > (~same).sum()
     assert np.array_equal(planted_partition(4, 20, 0.6, 0.02, 3).eu, g.eu)
+
+
+def test_planted_partition_rejects_bad_inputs():
+    # each raised ValueError names its argument; before the check, the
+    # probabilities were clipped by the draw, True read as 1, a zero count
+    # built an empty graph and a float or negative count failed in numpy
+    for args, name in (((3, 6, 1.5, -0.2, 1), "p_intra"), ((3, 6, 0.5, -0.2, 1), "p_inter"),
+                       ((3, 6, True, 0.1, 1), "p_intra"), ((2.5, 6, 0.5, 0.1, 1), "n_blocks"),
+                       ((0, 6, 0.5, 0.1, 1), "n_blocks"), ((3, -1, 0.5, 0.1, 1), "block_size")):
+        with pytest.raises(ValueError, match=name):
+            planted_partition(*args)
 
 
 def test_random_weights_in_range():

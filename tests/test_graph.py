@@ -8,7 +8,6 @@ import pytest
 
 from edgeblock import graph as graph_mod
 from edgeblock.centrality import edge_betweenness, node_closeness
-from edgeblock.generators import gnm_random_graph, with_random_weights
 from edgeblock.graph import (
     ParseError,
     assign_jaccard_weights,
@@ -25,8 +24,10 @@ from oracle_utils import (
     brute_girth,
     brute_triangles,
     edge_tuple,
+    gnm_random_graph,
     remove_edges,
     same_structure,
+    with_random_weights,
 )
 
 K3 = from_edge_arrays(3, [0, 0, 1], [1, 2, 2])

@@ -4,14 +4,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracle_utils import edge_blocking_reference, same_structure, white_count_after_blocking
-
-from edgeblock import hardness as hardness_mod
-from edgeblock.generators import (
-    connected_graphs_upto_iso,
+from oracle_utils import (
+    edge_blocking_reference,
     gnm_random_graph,
     random_connected_graph,
+    same_structure,
+    white_count_after_blocking,
 )
+
+from edgeblock import hardness as hardness_mod
+from edgeblock.generators import connected_graphs_upto_iso
 from edgeblock.graph import from_edge_arrays, girth
 from edgeblock.hardness import (
     _BLOCKING_CHUNK,

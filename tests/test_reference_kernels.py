@@ -8,7 +8,7 @@ import pytest
 
 from edgeblock.centrality import edge_betweenness
 from edgeblock.community import louvain_partition
-from edgeblock.generators import gnm_random_graph, planted_partition
+from edgeblock.generators import planted_partition
 from edgeblock.graph import assign_jaccard_weights, from_edge_arrays, girth
 from edgeblock.hardness import brute_force_densest_subgraph
 from edgeblock.seeding import rng_for
@@ -16,6 +16,7 @@ from oracle_utils import (
     densest_reference,
     edge_betweenness_weighted,
     girth_bfs,
+    gnm_random_graph,
     louvain_partition_reference,
 )
 

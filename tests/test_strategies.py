@@ -5,7 +5,7 @@ import pytest
 
 from edgeblock import community, strategies
 from edgeblock.community import SweepParams, resolution_sweep, sweep_walk
-from edgeblock.generators import gnm_random_graph, planted_partition, with_random_weights
+from edgeblock.generators import planted_partition
 from edgeblock.graph import assign_jaccard_weights, from_edge_arrays, parse_edge_list
 from edgeblock.seeding import TAG_STRATEGY, TAG_SWEEP, rng_for, seed_sequence
 from edgeblock.strategies import (
@@ -17,6 +17,7 @@ from edgeblock.strategies import (
     strategy_code,
     top_k_edges,
 )
+from oracle_utils import gnm_random_graph, with_random_weights
 
 SCORE_STRATEGIES = tuple(s for s in STRATEGIES if s != "community")
 
